@@ -22,7 +22,9 @@ ExecutionReport RunForced(const Dag& dag, const FusionPlanSet& plans,
   EngineOptions options;
   options.analytic = true;
   Engine engine(options);
-  return engine.RunWithPlans(dag, plans, {}, kind).report;
+  const CompiledPlan plan =
+      CompiledOrDie(engine.CompileWithPlans(dag, plans, kind));
+  return engine.Execute(plan, {}).report;
 }
 
 }  // namespace
@@ -94,9 +96,17 @@ int main() {
     FusionPlanSet split =
         FinalizePlanSet(q.dag, refined, "explore + exploit");
     ExecutionReport raw_report =
-        engine.RunWithPlans(q.dag, raw, {}, OperatorKind::kCfo).report;
+        engine
+            .Execute(CompiledOrDie(engine.CompileWithPlans(
+                         q.dag, raw, OperatorKind::kCfo)),
+                     {})
+            .report;
     ExecutionReport split_report =
-        engine.RunWithPlans(q.dag, split, {}, OperatorKind::kCfo).report;
+        engine
+            .Execute(CompiledOrDie(engine.CompileWithPlans(
+                         q.dag, split, OperatorKind::kCfo)),
+                     {})
+            .report;
     PrintRow({"phase", "plans", "elapsed", "comm GB"});
     PrintRule(4);
     PrintRow({"explore only", std::to_string(raw.plans.size()),

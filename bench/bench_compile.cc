@@ -1,15 +1,15 @@
 // Compile-once / execute-many amortization (DESIGN.md section 18): the
 // host-side cost of Engine::Compile versus Engine::Execute on the GNMF
 // update step, and the per-run saving of replaying one CompiledPlan ten
-// times instead of re-planning through the legacy Run path.
+// times instead of compiling afresh for every run (single-shot).
 //
 // Beyond the timings this harness *asserts* the facade's contract and
 // exits non-zero on a violation:
 //   * compile happens exactly once — the fuseme_solver_resolutions_total
 //     and fuseme_planner_plans_total counter families must stay flat
 //     across every Execute of a compiled artifact,
-//   * a replayed Execute is bitwise identical to the legacy single-shot
-//     Run (outputs and shuffle/flops accounting).
+//   * a replayed Execute is bitwise identical to a single-shot
+//     Compile + Execute (outputs and shuffle/flops accounting).
 //
 // Environment overrides for quick smoke runs (scripts/run_bench_smoke.sh):
 //   FUSEME_BENCH_COMPILE_N   matrix dimension (default 768)
@@ -90,13 +90,20 @@ int main() {
   options.metrics = &g_metrics;
   Engine engine(options);
 
-  // Legacy single-shot baseline: plan + verify + execute on every call.
+  // Single-shot baseline: Compile + Execute on every call, so each run
+  // pays plan + verify + resolve.
   const double run_t0 = Now();
-  Engine::RunResult legacy = engine.Run(q.dag, inputs);
+  Result<CompiledPlan> single_plan = engine.Compile(q.dag);
+  if (!single_plan.ok()) {
+    std::fprintf(stderr, "FAIL: single-shot Compile failed: %s\n",
+                 single_plan.status().ToString().c_str());
+    return 1;
+  }
+  Engine::RunResult single = engine.Execute(*single_plan, inputs);
   const double run_wall = Now() - run_t0;
-  if (!legacy.report.ok()) {
-    std::fprintf(stderr, "FAIL: legacy Run failed: %s\n",
-                 legacy.report.status.ToString().c_str());
+  if (!single.report.ok()) {
+    std::fprintf(stderr, "FAIL: single-shot Execute failed: %s\n",
+                 single.report.status.ToString().c_str());
     return 1;
   }
 
@@ -125,9 +132,10 @@ int main() {
                  first.report.status.ToString().c_str());
     return 1;
   }
-  if (!IdenticalOutputs(legacy, first)) {
+  if (!IdenticalOutputs(single, first)) {
     std::fprintf(stderr,
-                 "FAIL: Execute(compiled) diverged from the legacy Run\n");
+                 "FAIL: Execute(compiled) diverged from the single-shot "
+                 "Compile + Execute\n");
     return 1;
   }
 
@@ -170,7 +178,7 @@ int main() {
   }
 
   std::printf(
-      "gnmf n=%lld k=%lld: compile %.4fs   execute %.4fs   legacy run "
+      "gnmf n=%lld k=%lld: compile %.4fs   execute %.4fs   single-shot "
       "%.4fs   amortized over %d executes %.4fs/run\n",
       static_cast<long long>(n), static_cast<long long>(k), compile_wall,
       execute_wall, run_wall, kExecuteReps, amortized_wall);
@@ -190,11 +198,11 @@ int main() {
     r.elapsed_seconds = wall;  // host wall clock, not modeled seconds
     return r;
   };
-  g_records.push_back(record("compile", compile_wall, legacy.report));
+  g_records.push_back(record("compile", compile_wall, single.report));
   g_records.back().bytes = 0;
   g_records.back().flops = 0;
   g_records.push_back(record("execute", execute_wall, first.report));
-  g_records.push_back(record("legacy_run", run_wall, legacy.report));
+  g_records.push_back(record("single_shot", run_wall, single.report));
   BenchRecord amortized =
       record("execute_amortized", amortized_wall, first.report);
   amortized.config.emplace_back("reps", std::to_string(kExecuteReps));

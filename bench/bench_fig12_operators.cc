@@ -63,21 +63,22 @@ Row RunSpec(const SyntheticSpec& spec, int num_nodes = 8) {
         SizeOf(q.dag, q.X), gi * gj);
     const bool use_bfo = parts < gi || parts < gj;
     row.systemds_op = use_bfo ? "B" : "R";
-    auto run = engine.RunWithPlans(
-        q.dag, full, {},
-        use_bfo ? OperatorKind::kBfo : OperatorKind::kRfo);
-    row.systemds = run.report;
+    const CompiledPlan plan = CompiledOrDie(engine.CompileWithPlans(
+        q.dag, full, use_bfo ? OperatorKind::kBfo : OperatorKind::kRfo));
+    row.systemds = engine.Execute(plan, {}).report;
   }
   {  // DistME: operator-at-a-time with CuboidMM.
     options.system = SystemMode::kDistMe;
     Engine engine(options);
-    row.distme = engine.Run(q.dag, {}).report;
+    row.distme =
+        engine.Execute(CompiledOrDie(engine.Compile(q.dag)), {}).report;
   }
   {  // FuseME: the whole query as one CFO.
     options.system = SystemMode::kFuseMe;
     Engine engine(options);
-    auto run = engine.RunWithPlans(q.dag, full, {}, OperatorKind::kCfo);
-    row.fuseme = run.report;
+    const CompiledPlan plan = CompiledOrDie(
+        engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo));
+    row.fuseme = engine.Execute(plan, {}).report;
     // Recover (P*,Q*,R*) for Table 3.
     PqrOptimizer opt(&engine.cost_model());
     row.pqr = opt.Pruned(full.plans[0]).c;
@@ -118,14 +119,15 @@ void PrintSweep(const char* title, const std::vector<SyntheticSpec>& specs) {
 // identical inputs, local_threads=1 vs the machine's parallelism.  The
 // outputs and the accounted StageStats must match exactly. ---
 
-double TimeCfoSeconds(const Engine& engine, const NmfPattern& q,
-                      const FusionPlanSet& plans,
+/// Best-of-3 wall clock of executing the compiled CFO plan; compiling is
+/// not timed.
+double TimeCfoSeconds(const Engine& engine, const CompiledPlan& plan,
                       const std::map<NodeId, BlockedMatrix>& inputs,
                       Engine::RunResult* out) {
   double best = 1e30;
   for (int run = 0; run < 3; ++run) {
     const auto t0 = std::chrono::steady_clock::now();
-    *out = engine.RunWithPlans(q.dag, plans, inputs, OperatorKind::kCfo);
+    *out = engine.Execute(plan, inputs);
     const auto t1 = std::chrono::steady_clock::now();
     if (!out->report.ok()) {
       std::fprintf(stderr, "CFO run failed: %s\n",
@@ -169,12 +171,18 @@ void RunRealModeCfoSpeedup() {
   options.metrics = &g_metrics;
 
   options.cluster.local_threads = 1;
+  const Engine serial_engine(options);
+  options.cluster.local_threads = 0;  // process default
+  const Engine parallel_engine(options);
+  // One artifact for both: local_threads is execution-local, so it is
+  // compatible with either engine.
+  const CompiledPlan plan = CompiledOrDie(
+      serial_engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo));
   Engine::RunResult serial_run, parallel_run;
   const double serial =
-      TimeCfoSeconds(Engine(options), q, full, inputs, &serial_run);
-  options.cluster.local_threads = 0;  // process default
+      TimeCfoSeconds(serial_engine, plan, inputs, &serial_run);
   const double parallel =
-      TimeCfoSeconds(Engine(options), q, full, inputs, &parallel_run);
+      TimeCfoSeconds(parallel_engine, plan, inputs, &parallel_run);
 
   const DenseMatrix a = serial_run.outputs.at(q.mul).blocks().ToDense();
   const DenseMatrix b = parallel_run.outputs.at(q.mul).blocks().ToDense();

@@ -34,7 +34,7 @@ Cell RunOne(SystemMode mode, const RatingDataset& dataset, std::int64_t k) {
   options.tracer = &g_tracer;
   Engine engine(options);
   Cell cell;
-  cell.report = engine.Run(q.dag, {}).report;
+  cell.report = engine.Execute(CompiledOrDie(engine.Compile(q.dag)), {}).report;
   if (cell.report.ok() &&
       cell.report.elapsed_seconds * kIterations >
           options.cluster.timeout_seconds) {

@@ -29,7 +29,8 @@ std::string EpochCell(SystemMode mode, std::int64_t n, std::int64_t batch,
   options.analytic = true;
   options.tracer = &g_tracer;
   Engine engine(options);
-  ExecutionReport report = engine.Run(q.dag, {}).report;
+  ExecutionReport report =
+      engine.Execute(CompiledOrDie(engine.Compile(q.dag)), {}).report;
   if (report.status.IsOutOfMemory()) return "O.O.M.";
   if (report.status.IsTimedOut()) return "T.O.";
   if (!report.ok()) return "ERR";

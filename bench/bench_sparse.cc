@@ -221,7 +221,9 @@ bool RunPredictionCell(std::int64_t n) {
   options.cluster.block_size = 64;
   options.metrics = &g_metrics;
   Engine engine(options);
-  auto run = engine.RunWithPlans(q.dag, full, inputs, OperatorKind::kCfo);
+  const CompiledPlan plan =
+      CompiledOrDie(engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo));
+  auto run = engine.Execute(plan, inputs);
   if (!run.report.ok()) {
     std::fprintf(stderr, "prediction cell failed: %s\n",
                  run.report.status.ToString().c_str());

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
@@ -27,6 +29,14 @@ inline bool WriteTraceJson(const std::string& bench_name,
   if (!tracer.WriteChromeJson(path)) return false;
   std::printf("wrote %s (%zu spans)\n", path.c_str(), tracer.size());
   return true;
+}
+
+/// Unwraps a compile the harness itself set up.  Only CompileWithPlans
+/// over a malformed plan set fails, which is a harness bug, not a
+/// measurement.
+inline CompiledPlan CompiledOrDie(Result<CompiledPlan> compiled) {
+  FUSEME_CHECK(compiled.ok()) << compiled.status().ToString();
+  return std::move(compiled).value();
 }
 
 /// Formats an execution outcome the way the paper's figures label bars:

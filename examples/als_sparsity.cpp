@@ -43,7 +43,13 @@ int main() {
   for (SystemMode mode : {SystemMode::kFuseMe, SystemMode::kDistMe}) {
     options.system = mode;
     Engine engine(options);
-    Engine::RunResult run = engine.Run(q.dag, inputs);
+    Result<CompiledPlan> plan = engine.Compile(q.dag);
+    if (!plan.ok()) {
+      std::printf("%-10s compile failed: %s\n", SystemModeName(mode).data(),
+                  plan.status().ToString().c_str());
+      return 1;
+    }
+    Engine::RunResult run = engine.Execute(*plan, inputs);
     if (!run.report.ok()) {
       std::printf("%-10s failed: %s\n", SystemModeName(mode).data(),
                   run.report.Summary().c_str());

@@ -48,6 +48,12 @@ int main() {
   options.cluster.tasks_per_node = 4;
   options.cluster.block_size = block;
   Engine engine(options);
+  // Every iteration has the same shapes: compile once, execute per step.
+  Result<CompiledPlan> plan = engine.Compile(q.dag);
+  if (!plan.ok()) {
+    std::printf("compile failed: %s\n", plan.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("GNMF on %lldx%lld ratings (nnz=%lld), k=%lld\n",
               static_cast<long long>(users), static_cast<long long>(items),
@@ -66,7 +72,7 @@ int main() {
       inputs[q.X] = BlockedMatrix::FromSparse(ratings, block);
       inputs[q.V] = BlockedMatrix::FromDense(v, block);
       inputs[q.U] = BlockedMatrix::FromDense(u, block);
-      Engine::RunResult run = engine.Run(q.dag, inputs);
+      Engine::RunResult run = engine.Execute(*plan, inputs);
       if (!run.report.ok()) {
         std::printf("iteration %d failed: %s\n", iter,
                     run.report.Summary().c_str());

@@ -1,5 +1,6 @@
 #include "engine/compiled_plan.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -607,9 +608,26 @@ Status CompiledPlan::CheckCompatible(
   }
 
   for (const auto& [id, m] : inputs) {
-    if (id < 0 || id >= dag_->num_nodes()) continue;
+    // Only input leaves take bindings: a binding to an operator node
+    // would stand in for the value its stage computes.
+    if (id < 0 || id >= dag_->num_nodes() ||
+        dag_->node(id).kind != OpKind::kInput) {
+      return Status::InvalidArgument(
+          "compiled plan binds only matrix input leaves; v" +
+          std::to_string(id) + " is not one");
+    }
     const Node& n = dag_->node(id);
-    if (n.kind != OpKind::kInput) continue;
+    if (m.block_size() != b.block_size) {
+      return Status::InvalidArgument(
+          "compiled plan expects input v" + std::to_string(id) + " (" +
+          n.name + ") blocked at " + std::to_string(b.block_size) +
+          ", got block size " + std::to_string(m.block_size()));
+    }
+    if (!analytic_ && !m.IsReal()) {
+      return Status::InvalidArgument(
+          "compiled plan runs in real mode; input v" + std::to_string(id) +
+          " (" + n.name + ") is a metadata descriptor with no block data");
+    }
     if (m.rows() != n.rows || m.cols() != n.cols) {
       return Status::InvalidArgument(
           "compiled plan expects input v" + std::to_string(id) + " (" +
@@ -634,6 +652,20 @@ Status CompiledPlan::CheckCompatible(
           "); re-compile for this sparsity class");
     }
   }
+  if (!analytic_) {
+    // Real mode has no descriptors to synthesize: every input leaf a stage
+    // reads must be bound before the first stage runs.
+    for (const PartialPlan& plan : plans_.plans) {
+      for (NodeId ext : plan.ExternalInputs()) {
+        const Node& n = dag_->node(ext);
+        if (n.kind == OpKind::kInput && !inputs.contains(ext)) {
+          return Status::InvalidArgument("no matrix bound to leaf v" +
+                                         std::to_string(ext) + " (" +
+                                         n.name + ")");
+        }
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -643,8 +675,8 @@ std::string CompiledPlan::ToJson() const {
   out += ",\"forced\":\"" + ForcedKindName(forced_) + "\"";
   out += std::string(",\"analytic\":") + (analytic_ ? "true" : "false");
   out += ",\"verify\":\"" + std::string(VerifyLevelName(verify_)) + "\"";
-  out += std::string(",\"verified\":") + (table_.verified ? "true" : "false");
-  out += ",\"description\":\"" + JsonEscape(table_.description) + "\"";
+  out += std::string(",\"verified\":") + (verified_ ? "true" : "false");
+  out += ",\"description\":\"" + JsonEscape(description_) + "\"";
   out += ",\"cluster\":";
   AppendClusterJson(&out, cluster_);
 
@@ -674,9 +706,9 @@ std::string CompiledPlan::ToJson() const {
   out += "]";
 
   out += ",\"stages\":[";
-  for (std::size_t i = 0; i < table_.stages.size(); ++i) {
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
     if (i > 0) out += ",";
-    const CompiledStage& s = table_.stages[i];
+    const CompiledStage& s = stages_[i];
     out += "{\"kind\":\"" + std::string(OperatorKindName(s.kind)) + "\"";
     out += ",\"solver\":\"" + JsonEscape(s.solver_id) + "\"";
     out += std::string(",\"refine_cell\":") +
@@ -695,9 +727,9 @@ std::string CompiledPlan::ToJson() const {
   out += "]";
 
   out += ",\"diagnostics\":[";
-  for (std::size_t i = 0; i < table_.diagnostics.size(); ++i) {
+  for (std::size_t i = 0; i < diagnostics_.size(); ++i) {
     if (i > 0) out += ",";
-    const VerifierDiagnostic& d = table_.diagnostics[i];
+    const VerifierDiagnostic& d = diagnostics_[i];
     out += "{\"rule\":\"" + JsonEscape(d.rule) + "\"";
     if (d.node != kInvalidNode) out += ",\"node\":" + std::to_string(d.node);
     out += ",\"message\":\"" + JsonEscape(d.message) + "\"}";
@@ -735,9 +767,9 @@ Result<CompiledPlan> CompiledPlan::FromJson(const std::string& json) {
       FUSEME_ASSIGN_OR_RETURN(const std::string s, r.ReadString());
       FUSEME_ASSIGN_OR_RETURN(out.verify_, ParseVerifyLevel(s));
     } else if (key == "verified") {
-      FUSEME_ASSIGN_OR_RETURN(out.table_.verified, ReadBool(r));
+      FUSEME_ASSIGN_OR_RETURN(out.verified_, ReadBool(r));
     } else if (key == "description") {
-      FUSEME_ASSIGN_OR_RETURN(out.table_.description, r.ReadString());
+      FUSEME_ASSIGN_OR_RETURN(out.description_, r.ReadString());
     } else if (key == "cluster") {
       FUSEME_RETURN_IF_ERROR(ReadClusterJson(r, &out.cluster_));
     } else if (key == "dag") {
@@ -799,7 +831,7 @@ Result<CompiledPlan> CompiledPlan::FromJson(const std::string& json) {
         do {
           FUSEME_ASSIGN_OR_RETURN(const VerifierDiagnostic d,
                                   ReadDiagnosticJson(r));
-          out.table_.diagnostics.push_back(d);
+          out.diagnostics_.push_back(d);
         } while (r.TryConsume(','));
         FUSEME_RETURN_IF_ERROR(r.Expect(']'));
       }
@@ -819,9 +851,14 @@ Result<CompiledPlan> CompiledPlan::FromJson(const std::string& json) {
                             RebuildPlan(*out.dag_, plan_records[i], i));
     out.plans_.plans.push_back(std::move(plan));
   }
-  out.plans_.description = out.table_.description;
+  out.plans_.description = out.description_;
 
-  if (stage_records.size() != plan_records.size()) {
+  // An artifact whose compile-time verification found diagnostics carries
+  // no stages (Execute fails on the diagnostics before reading any); the
+  // re-verification below still has to reproduce them.
+  const bool failed_verification =
+      out.verified_ && !out.diagnostics_.empty() && stage_records.empty();
+  if (!failed_verification && stage_records.size() != plan_records.size()) {
     return Status::InvalidArgument(
         "compiled plan JSON: " + std::to_string(stage_records.size()) +
         " stage(s) for " + std::to_string(plan_records.size()) + " plan(s)");
@@ -864,23 +901,36 @@ Result<CompiledPlan> CompiledPlan::FromJson(const std::string& json) {
                               ParseStatusCode(rec.error_code));
       stage.prediction_status = Status(code, rec.error_message);
     }
-    out.table_.stages.push_back(std::move(stage));
+    out.stages_.push_back(std::move(stage));
   }
 
-  // A clean artifact must still verify cleanly against its own cluster:
-  // fresh diagnostics mean the JSON was edited (or produced by a drifted
-  // build) and the cached "verified, no findings" claim is stale.
-  if (out.table_.verified && out.table_.diagnostics.empty()) {
+  // The cached diagnostics are the plan set's carried ones followed, when
+  // the artifact was verified, by the compile-time verifier pass.  That
+  // pass must reproduce against the artifact's own cluster: anything else
+  // means the JSON was edited (or produced by a drifted build).  What
+  // precedes it is carried, and Execute keeps it when kParanoid replaces
+  // the cached pass with a fresh one.
+  std::size_t carried = out.diagnostics_.size();
+  if (out.verified_) {
     const CostModel model(out.cluster_);
     const PlanVerifier verifier(&model);
-    const std::vector<VerifierDiagnostic> diags =
+    const std::vector<VerifierDiagnostic> fresh =
         verifier.Verify(*out.dag_, out.plans_, out.verify_);
-    if (!diags.empty()) {
+    const auto same = [](const VerifierDiagnostic& a,
+                         const VerifierDiagnostic& b) {
+      return a.rule == b.rule && a.node == b.node && a.message == b.message;
+    };
+    if (fresh.size() > carried ||
+        !std::equal(fresh.begin(), fresh.end(),
+                    out.diagnostics_.end() - fresh.size(), same)) {
       return Status::InvalidArgument(
           "compiled plan failed re-verification: " +
-          diags.front().ToString());
+          fresh.front().ToString());
     }
+    carried -= fresh.size();
   }
+  out.plans_.diagnostics.assign(out.diagnostics_.begin(),
+                                out.diagnostics_.begin() + carried);
   return out;
 }
 

@@ -7,8 +7,9 @@
 // Engine::Execute replays the artifact against fresh inputs of the same
 // shape class without re-planning, re-verifying, or re-searching; only
 // the input-dependent prediction refinement (the CFO cell-stage
-// narrow-dependency model) is re-applied per run, so outputs and
-// StageStats are bitwise identical to the legacy Run path.
+// narrow-dependency model) is re-applied per run, so every Execute of one
+// artifact — and of an independent Compile of the same DAG — yields
+// bitwise-identical outputs and StageStats.
 //
 // The artifact serializes to JSON (ToJson/FromJson) for cross-process
 // reuse: the DAG is replayed through the Dag builders and re-validated
@@ -50,24 +51,6 @@ struct CompiledStage {
   StagePrediction prediction;
 };
 
-/// Everything Compile produces beyond the plan set itself.  Split out so
-/// the legacy Run/RunWithPlans wrappers can compile-and-execute against a
-/// caller's Dag/plan set in place, without copying them into an artifact.
-struct CompiledStageTable {
-  /// Resolved report description: the planner's own, or the synthesized
-  /// "caller-supplied (N plan(s))".
-  std::string description;
-  /// Cached verification output: the plan set's carried diagnostics plus
-  /// (when `verified`) one full PlanVerifier::Verify pass.  Execute
-  /// replays these instead of re-verifying (kParanoid re-checks).
-  std::vector<VerifierDiagnostic> diagnostics;
-  /// Whether the verifier ran at compile time (compile-time verify level
-  /// was not kOff).  False means `diagnostics` only carries what the
-  /// plan set brought along.
-  bool verified = false;
-  std::vector<CompiledStage> stages;
-};
-
 /// A compiled execution artifact: an owned copy of the query DAG, the
 /// fusion plan set over it, and the per-stage solver/prediction table.
 /// Move-only (stages reference the owned DAG through the plan set).
@@ -80,13 +63,26 @@ class CompiledPlan {
   CompiledPlan& operator=(const CompiledPlan&) = delete;
 
   const Dag& dag() const { return *dag_; }
+  /// The plan set; its `diagnostics` are the ones it carried in (planner
+  /// findings, or a caller-supplied set's own).
   const FusionPlanSet& plans() const { return plans_; }
-  const CompiledStageTable& table() const { return table_; }
-  const std::vector<CompiledStage>& stages() const { return table_.stages; }
+  /// One frozen stage per plan, in execution order.  Empty when
+  /// compile-time verification found diagnostics.
+  const std::vector<CompiledStage>& stages() const { return stages_; }
+  /// Cached verification output: the plan set's carried diagnostics plus
+  /// (when verified()) one full PlanVerifier::Verify pass.  Execute replays
+  /// these instead of re-verifying; kParanoid replaces the cached pass
+  /// with a fresh one.
   const std::vector<VerifierDiagnostic>& diagnostics() const {
-    return table_.diagnostics;
+    return diagnostics_;
   }
-  const std::string& description() const { return table_.description; }
+  /// Whether the verifier ran at compile time (the compile-time verify
+  /// level was not kOff).  False means diagnostics() only holds what the
+  /// plan set carried in.
+  bool verified() const { return verified_; }
+  /// Resolved report description: the planner's own, or the synthesized
+  /// "caller-supplied (N plan(s))".
+  const std::string& description() const { return description_; }
   SystemMode system() const { return system_; }
   /// The forced-operator argument the artifact was compiled with (kAuto
   /// unless the caller forced one through CompileWithPlans).
@@ -97,14 +93,16 @@ class CompiledPlan {
   /// Cluster the plans/predictions were modeled for.
   const ClusterConfig& cluster() const { return cluster_; }
 
-  /// Cheap pre-execution compatibility check: the executing engine's
-  /// system/mode/cluster must match what the artifact was compiled for,
-  /// and every bound input must match its DAG leaf's shape exactly and
-  /// its recorded sparsity class (density buckets of floor(log2(d)),
-  /// ±1 bucket of grace).  Returns InvalidArgument naming the precise
-  /// mismatch; inputs the DAG doesn't declare are ignored, and missing
-  /// ones follow the run path's own rules (synthesized in analytic mode,
-  /// InvalidArgument at bind time in real mode).
+  /// The one gate on what Execute accepts, checked before any stage runs:
+  /// the executing engine's system/mode/cluster must match what the
+  /// artifact was compiled for, and every binding must name a matrix
+  /// input leaf of the DAG and carry the cluster's block size, block data
+  /// (real mode only; analytic mode accepts descriptors), the leaf's exact
+  /// shape, and its recorded sparsity class (density buckets of
+  /// floor(log2(d)), ±1 bucket of grace).  In real mode every input leaf
+  /// a stage reads must be bound; analytic mode synthesizes missing ones
+  /// as descriptors.  Returns InvalidArgument naming the precise
+  /// mismatch.
   Status CheckCompatible(const EngineOptions& options,
                          const std::map<NodeId, BlockedMatrix>& inputs) const;
 
@@ -125,7 +123,10 @@ class CompiledPlan {
   /// valid across moves and process boundaries.
   std::unique_ptr<Dag> dag_;
   FusionPlanSet plans_;
-  CompiledStageTable table_;
+  std::string description_;
+  std::vector<VerifierDiagnostic> diagnostics_;
+  bool verified_ = false;
+  std::vector<CompiledStage> stages_;
   SystemMode system_ = SystemMode::kFuseMe;
   OperatorKind forced_ = OperatorKind::kAuto;
   bool analytic_ = false;

@@ -215,7 +215,7 @@ FusionPlanSet Engine::MakePlans(const Dag& dag) const {
   }
   if (verify) {
     // Planner-generated sets must cover every operator node exactly once;
-    // structural per-plan and stage-graph rules run again in RunWithPlans
+    // structural per-plan and stage-graph rules run again in CompileStages
     // (which also accepts caller-supplied, possibly partial, sets).
     std::vector<VerifierDiagnostic> d =
         verifier.VerifyPlanSet(dag, set, /*require_coverage=*/true);
@@ -419,11 +419,12 @@ Result<DistributedMatrix> Engine::RunPlanAnalytic(const PartialPlan& plan,
 }
 
 Engine::RunResult Engine::ExecuteCompiled(
-    const Dag& dag, const FusionPlanSet& plans, const CompiledStageTable& table,
-    const std::map<NodeId, BlockedMatrix>& inputs,
-    bool trust_cached_verification) const {
+    const CompiledPlan& compiled,
+    const std::map<NodeId, BlockedMatrix>& inputs) const {
+  const Dag& dag = compiled.dag();
+  const FusionPlanSet& plans = compiled.plans();
   RunResult out;
-  out.report.plan_description = table.description;
+  out.report.plan_description = compiled.description();
   if (options_.tracer != nullptr) options_.tracer->NameCurrentThread("driver");
   if (journal_ != nullptr) {
     journal_->Emit(
@@ -437,16 +438,16 @@ Engine::RunResult Engine::ExecuteCompiled(
   verifier.set_metrics(options_.metrics);
   if (options_.verify != VerifyLevel::kOff) {
     // CompileStages already ran the structural verification and cached the
-    // diagnostics in the table; replay them instead of re-verifying on
-    // every execute.  A table compiled without the verifier, and a
-    // kParanoid engine on the compile-once/execute-many path, still get a
-    // full fresh pass here.
-    std::vector<VerifierDiagnostic> diags = table.diagnostics;
-    if (!table.verified || (!trust_cached_verification &&
-                            options_.verify == VerifyLevel::kParanoid)) {
-      std::vector<VerifierDiagnostic> more =
+    // diagnostics in the artifact; replay them instead of re-verifying on
+    // every execute.  An artifact compiled without the verifier, and every
+    // kParanoid execute, get a fresh pass instead, which replaces the
+    // cached one: only the plan set's carried diagnostics are kept.
+    std::vector<VerifierDiagnostic> diags = compiled.diagnostics();
+    if (!compiled.verified() || options_.verify == VerifyLevel::kParanoid) {
+      diags = plans.diagnostics;
+      std::vector<VerifierDiagnostic> fresh =
           verifier.Verify(dag, plans, options_.verify);
-      diags.insert(diags.end(), more.begin(), more.end());
+      diags.insert(diags.end(), fresh.begin(), fresh.end());
     }
     if (!diags.empty()) {
       out.report.status = Status::Internal(
@@ -468,12 +469,13 @@ Engine::RunResult Engine::ExecuteCompiled(
     }
   }
 
-  // A table that failed compile-time verification carries no stages (the
-  // verify block above surfaces its diagnostics); any other count mismatch
-  // means the table and plan set drifted apart.
-  if (table.stages.size() != plans.plans.size()) {
+  // An artifact that failed compile-time verification carries no stages
+  // (the verify block above surfaces its diagnostics); any other count
+  // mismatch means the stages and plan set drifted apart.
+  const std::vector<CompiledStage>& stages = compiled.stages();
+  if (stages.size() != plans.plans.size()) {
     out.report.status = Status::Internal(
-        "compiled stage table has " + std::to_string(table.stages.size()) +
+        "compiled plan has " + std::to_string(stages.size()) +
         " stage(s) for " + std::to_string(plans.plans.size()) + " plan(s)");
     if (journal_ != nullptr) {
       journal_->Emit(LogLevel::kError, event_names::kRunFinish,
@@ -487,10 +489,10 @@ Engine::RunResult Engine::ExecuteCompiled(
   const SolverEnv solver_env = MakeSolverEnv();
   Simulator sim(options_.cluster);
 
+  // CheckCompatible admitted only matrix input leaves, so no binding can
+  // collide with a stage root materialized below.
   std::map<NodeId, DistributedMatrix> materialized;
   for (const auto& [id, m] : inputs) {
-    FUSEME_CHECK_EQ(m.block_size(), options_.cluster.block_size)
-        << "input block size must match the cluster configuration";
     materialized.emplace(
         id, DistributedMatrix::Create(m, PartitionScheme::kGrid,
                                       options_.cluster.total_tasks()));
@@ -502,40 +504,30 @@ Engine::RunResult Engine::ExecuteCompiled(
   int stage_ordinal = -1;
   for (const PartialPlan& plan : plans.plans) {
     ++stage_ordinal;
-    // Bind external inputs.
+    // Bind external inputs.  CheckCompatible saw every real-mode leaf
+    // bound; analytic mode synthesizes unbound leaves as descriptors.
     FusedInputs fin;
-    bool inputs_ok = true;
     for (NodeId ext : plan.ExternalInputs()) {
       const Node& n = dag.node(ext);
       if (!n.is_matrix()) continue;
       auto it = materialized.find(ext);
       if (it == materialized.end()) {
-        if (options_.analytic) {
-          BlockedMatrix meta = BlockedMatrix::MakeMeta(
-              n.rows, n.cols, n.nnz, options_.cluster.block_size);
-          it = materialized
-                   .emplace(ext, DistributedMatrix::Create(
-                                     std::move(meta), PartitionScheme::kGrid,
-                                     options_.cluster.total_tasks()))
-                   .first;
-        } else {
-          status = Status::InvalidArgument(
-              "no matrix bound to leaf v" + std::to_string(ext) + " (" +
-              n.name + ")");
-          inputs_ok = false;
-          break;
-        }
+        BlockedMatrix meta = BlockedMatrix::MakeMeta(
+            n.rows, n.cols, n.nnz, options_.cluster.block_size);
+        it = materialized
+                 .emplace(ext, DistributedMatrix::Create(
+                                   std::move(meta), PartitionScheme::kGrid,
+                                   options_.cluster.total_tasks()))
+                 .first;
       }
       fin[ext] = &it->second;
     }
-    if (!inputs_ok) break;
 
-    const CompiledStage& compiled = table.stages[stage_ordinal];
-    OperatorKind kind = compiled.kind;
-    const StageSolver* solver =
-        SolverRegistry::Global().Find(compiled.solver_id);
+    const CompiledStage& stage = stages[stage_ordinal];
+    OperatorKind kind = stage.kind;
+    const StageSolver* solver = SolverRegistry::Global().Find(stage.solver_id);
     FUSEME_CHECK(solver != nullptr)
-        << "compiled stage references unknown solver " << compiled.solver_id;
+        << "compiled stage references unknown solver " << stage.solver_id;
     bool first_attempt = true;
 
     StageTelemetry telemetry;
@@ -567,12 +559,12 @@ Engine::RunResult Engine::ExecuteCompiled(
         // Identical to a fresh PredictStage at budget 1 by construction
         // (PredictBase + RefinePrediction == Predict).
         first_attempt = false;
-        if (compiled.prediction_status.ok()) {
-          StagePrediction pred = compiled.prediction;
+        if (stage.prediction_status.ok()) {
+          StagePrediction pred = stage.prediction;
           solver->RefinePrediction(solver_env, plan, &fin, &pred);
           predr = Result<StagePrediction>(std::move(pred));
         } else {
-          predr = compiled.prediction_status;
+          predr = stage.prediction_status;
         }
       } else {
         // Degradation rungs left the compiled configuration behind; fall
@@ -640,7 +632,7 @@ Engine::RunResult Engine::ExecuteCompiled(
               ctx.ConfigureRecovery(injector, stage_ordinal,
                                     options_.recovery.retry);
             }
-            result = solver->Run(solver_env, plan, *predr, fin, &ctx);
+            result = solver->Execute(solver_env, plan, *predr, fin, &ctx);
             stats = ctx.Finalize();
             stats.label = label;
             telemetry.threads = ctx.Parallelism();
@@ -896,40 +888,44 @@ std::vector<NodeId> BoundMatrixIds(const Dag& dag, const PartialPlan& plan) {
 
 }  // namespace
 
-CompiledStageTable Engine::CompileStages(const Dag& dag,
-                                         const FusionPlanSet& plans,
-                                         OperatorKind forced) const {
-  CompiledStageTable table;
+void Engine::CompileStages(OperatorKind forced, CompiledPlan* compiled) const {
+  const Dag& dag = *compiled->dag_;
+  const FusionPlanSet& plans = compiled->plans_;
+  compiled->system_ = options_.system;
+  compiled->forced_ = forced;
+  compiled->analytic_ = options_.analytic;
+  compiled->verify_ = options_.verify;
+  compiled->cluster_ = options_.cluster;
   // Both entry points populate the description: MakePlans-produced sets
   // carry the planner's own, caller-assembled sets get a synthesized one.
-  table.description =
+  compiled->description_ =
       !plans.description.empty()
           ? plans.description
           : "caller-supplied (" + std::to_string(plans.plans.size()) +
                 " plan" + (plans.plans.size() == 1 ? "" : "s") + ")";
-  table.diagnostics = plans.diagnostics;
+  compiled->diagnostics_ = plans.diagnostics;
   if (options_.verify != VerifyLevel::kOff) {
-    // Structural verification of everything the table will replay: planner
-    // diagnostics carried in the set, DAG consistency, per-plan region
-    // legality + subspace soundness, and the lowered stage graph.  The
-    // result is cached in the table so Execute can replay it.
+    // Structural verification of everything Execute will replay: DAG
+    // consistency, per-plan region legality + subspace soundness, and the
+    // lowered stage graph.  Cached after the plan set's carried
+    // diagnostics so Execute can replay it.
     PlanVerifier verifier(&model_);
     verifier.set_metrics(options_.metrics);
     std::vector<VerifierDiagnostic> more =
         verifier.Verify(dag, plans, options_.verify);
-    table.diagnostics.insert(table.diagnostics.end(), more.begin(),
-                             more.end());
-    table.verified = true;
-    if (!table.diagnostics.empty()) {
+    compiled->diagnostics_.insert(compiled->diagnostics_.end(), more.begin(),
+                                  more.end());
+    compiled->verified_ = true;
+    if (!compiled->diagnostics_.empty()) {
       // Execute fails on these diagnostics before touching any stage;
       // resolving solvers for a rejected plan set would only mint
       // misleading fuseme.solver.chosen events on corrupt plans.
-      return table;
+      return;
     }
   }
 
   const SolverEnv env = MakeSolverEnv();
-  table.stages.reserve(plans.plans.size());
+  compiled->stages_.reserve(plans.plans.size());
   for (const PartialPlan& plan : plans.plans) {
     CompiledStage stage;
     stage.kind = forced == OperatorKind::kAuto
@@ -959,22 +955,15 @@ CompiledStageTable Engine::CompileStages(const Dag& dag,
       journal_->Emit(LogLevel::kInfo, event_names::kSolverChosen,
                      std::move(fields));
     }
-    table.stages.push_back(std::move(stage));
+    compiled->stages_.push_back(std::move(stage));
   }
-  return table;
 }
 
 Result<CompiledPlan> Engine::Compile(const Dag& dag) const {
   CompiledPlan compiled;
   compiled.dag_ = std::make_unique<Dag>(dag);
   compiled.plans_ = MakePlans(*compiled.dag_);
-  compiled.table_ =
-      CompileStages(*compiled.dag_, compiled.plans_, OperatorKind::kAuto);
-  compiled.system_ = options_.system;
-  compiled.forced_ = OperatorKind::kAuto;
-  compiled.analytic_ = options_.analytic;
-  compiled.verify_ = options_.verify;
-  compiled.cluster_ = options_.cluster;
+  CompileStages(OperatorKind::kAuto, &compiled);
   return compiled;
 }
 
@@ -1014,12 +1003,7 @@ Result<CompiledPlan> Engine::CompileWithPlans(const Dag& dag,
     compiled.plans_.plans.emplace_back(compiled.dag_.get(), plan.members(),
                                        plan.root());
   }
-  compiled.table_ = CompileStages(*compiled.dag_, compiled.plans_, forced);
-  compiled.system_ = options_.system;
-  compiled.forced_ = forced;
-  compiled.analytic_ = options_.analytic;
-  compiled.verify_ = options_.verify;
-  compiled.cluster_ = options_.cluster;
+  CompileStages(forced, &compiled);
   return compiled;
 }
 
@@ -1033,8 +1017,7 @@ Engine::RunResult Engine::Execute(
     out.report.status = compat;
     return out;
   }
-  return ExecuteCompiled(plan.dag(), plan.plans(), plan.table(), inputs,
-                         /*trust_cached_verification=*/false);
+  return ExecuteCompiled(plan, inputs);
 }
 
 PlanDescription Engine::Describe(const Dag& dag) const {
@@ -1065,22 +1048,6 @@ PlanDescription Engine::Describe(const Dag& dag) const {
     desc.stages.push_back(std::move(stage));
   }
   return desc;
-}
-
-Engine::RunResult Engine::RunWithPlans(
-    const Dag& dag, const FusionPlanSet& plans,
-    const std::map<NodeId, BlockedMatrix>& inputs, OperatorKind forced) const {
-  // Compile-then-execute over the caller's dag/plan set in place.  The
-  // table carries the single Verify pass this call just ran, so trusting
-  // it keeps the historical one-verification-per-call behavior exactly.
-  const CompiledStageTable table = CompileStages(dag, plans, forced);
-  return ExecuteCompiled(dag, plans, table, inputs,
-                         /*trust_cached_verification=*/true);
-}
-
-Engine::RunResult Engine::Run(
-    const Dag& dag, const std::map<NodeId, BlockedMatrix>& inputs) const {
-  return RunWithPlans(dag, MakePlans(dag), inputs, OperatorKind::kAuto);
 }
 
 }  // namespace fuseme

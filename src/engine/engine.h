@@ -45,17 +45,6 @@
 #include "telemetry/prediction.h"
 #include "verify/diagnostic.h"
 
-// Opt-in deprecation surface for the legacy single-shot entry points
-// (Run / RunWithPlans — see the migration note in src/fuseme.h).  Off by
-// default so existing builds stay warning-clean under -Werror; define
-// FUSEME_ENABLE_DEPRECATION_WARNINGS to get [[deprecated]] diagnostics at
-// every legacy call site.
-#ifdef FUSEME_ENABLE_DEPRECATION_WARNINGS
-#define FUSEME_DEPRECATED(msg) [[deprecated(msg)]]
-#else
-#define FUSEME_DEPRECATED(msg)
-#endif
-
 namespace fuseme {
 
 class Tracer;
@@ -251,10 +240,9 @@ struct ExecutionReport {
   std::string Summary() const;
 };
 
-class CompiledPlan;         // engine/compiled_plan.h
-struct CompiledStageTable;  // engine/compiled_plan.h
-struct PlanDescription;     // engine/solver_registry.h
-struct SolverEnv;           // engine/solver_registry.h
+class CompiledPlan;      // engine/compiled_plan.h
+struct PlanDescription;  // engine/solver_registry.h
+struct SolverEnv;        // engine/solver_registry.h
 
 class Engine {
  public:
@@ -282,49 +270,48 @@ class Engine {
     return plane_ != nullptr ? plane_->exporter_port() : -1;
   }
 
-  /// Generates this system's fusion plan set for `dag`.
-  FusionPlanSet MakePlans(const Dag& dag) const;
-
   struct RunResult {
     ExecutionReport report;
     /// Root-node values of dag.outputs() (meta descriptors in analytic
     /// mode).  Empty when execution failed.
     std::map<NodeId, DistributedMatrix> outputs;
 
-    /// Passthroughs to the report, so callers of either Run entry point
-    /// read outcomes uniformly.
+    /// Passthroughs to the report.
     bool ok() const { return report.ok(); }
     const Status& status() const { return report.status; }
     std::string Summary() const { return report.Summary(); }
   };
 
-  // --- Compile-once / execute-many facade (DESIGN.md section 18) ---
+  // --- The lifecycle: Create -> Compile -> Execute (DESIGN.md section 18)
 
   /// Runs the full planning pipeline exactly once — planner, verifier,
   /// per-stage solver resolution, base cost-model predictions — and
   /// freezes the result (with an owned copy of the DAG) into a reusable
   /// CompiledPlan.  Compilation itself always succeeds; planning and
   /// verification failures are frozen into the artifact and surface from
-  /// Execute exactly as they would from Run.
+  /// Execute.
   Result<CompiledPlan> Compile(const Dag& dag) const;
 
-  /// Compile against a caller-supplied plan set (the compiled counterpart
-  /// of RunWithPlans), optionally forcing the physical operator.  The
-  /// plans are rebuilt over the artifact's own DAG copy; malformed plans
-  /// (out-of-range members, leaf members, roots outside the member set)
-  /// are rejected with InvalidArgument instead of aborting.
+  /// Compile against a caller-supplied plan set (e.g. the single
+  /// full-query plan of §6.2), optionally forcing the physical operator.
+  /// The plans are rebuilt over the artifact's own DAG copy; malformed
+  /// plans (out-of-range members, leaf members, roots outside the member
+  /// set) are rejected with InvalidArgument instead of aborting.
   Result<CompiledPlan> CompileWithPlans(
       const Dag& dag, const FusionPlanSet& plans,
       OperatorKind forced = OperatorKind::kAuto) const;
 
   /// Replays a compiled artifact against fresh inputs of the same shape
   /// class: no re-planning, no solver re-resolution, and no redundant
-  /// re-verification (kParanoid deliberately re-checks).  Rejects — via
+  /// re-verification (kParanoid deliberately re-checks).  `inputs` binds
+  /// matrix input leaves to matrices; in analytic mode missing leaves are
+  /// synthesized as descriptors from the DAG metadata.  Rejects — via
   /// CompiledPlan::CheckCompatible, before any stage runs or any event is
   /// emitted — an artifact compiled for a different system/mode/cluster,
-  /// or inputs whose shape/sparsity class differs from what the artifact
-  /// was compiled for.  Outputs and stage statistics are bitwise
-  /// identical to Run over the same DAG and inputs.
+  /// and any binding that CheckCompatible refuses.  Outputs and stage
+  /// statistics are a pure function of the artifact, the engine's options
+  /// and the inputs, so concurrent Executes on one engine match a serial
+  /// one bitwise.
   RunResult Execute(const CompiledPlan& plan,
                     const std::map<NodeId, BlockedMatrix>& inputs) const;
 
@@ -333,25 +320,6 @@ class Engine {
   /// modeled cost — the decision Compile would freeze, without freezing
   /// or executing anything.
   PlanDescription Describe(const Dag& dag) const;
-
-  /// Plans and executes the whole DAG.  `inputs` binds leaf nodes to
-  /// matrices; in analytic mode missing leaves are synthesized as
-  /// descriptors from the DAG metadata.
-  ///
-  /// Thin wrapper over the compile/execute pipeline (Compile + Execute
-  /// semantics in one call); prefer those when the same DAG runs more
-  /// than once.  See the deprecation note in src/fuseme.h.
-  FUSEME_DEPRECATED("single-shot entry point; use Compile + Execute")
-  RunResult Run(const Dag& dag,
-                const std::map<NodeId, BlockedMatrix>& inputs) const;
-
-  /// Executes a caller-supplied plan set (e.g. the single full-query plan
-  /// of §6.2), optionally forcing the physical operator.  Thin wrapper
-  /// over the compile/execute pipeline, like Run.
-  FUSEME_DEPRECATED("single-shot entry point; use CompileWithPlans + Execute")
-  RunResult RunWithPlans(const Dag& dag, const FusionPlanSet& plans,
-                         const std::map<NodeId, BlockedMatrix>& inputs,
-                         OperatorKind forced = OperatorKind::kAuto) const;
 
   /// Cost-model prediction for running `plan` as `kind`: chosen cuboid
   /// plus NetEst/AggBytes/ComEst/MemEst (telemetry/prediction.h).  Fails
@@ -391,23 +359,22 @@ class Engine {
   OperatorKind PickOperator(const PartialPlan& plan,
                             const std::vector<NodeId>& bound_matrices) const;
 
-  /// The compile half shared by Compile / CompileWithPlans / the legacy
-  /// wrappers: verification (cached into the table) plus per-stage
-  /// operator selection, solver resolution, and base predictions.
-  /// Operates on the caller's dag/plans in place, so the legacy wrappers
-  /// add no copies (and never rebuild — possibly deliberately corrupted —
-  /// test plan sets through the checking constructor).
-  CompiledStageTable CompileStages(const Dag& dag, const FusionPlanSet& plans,
-                                   OperatorKind forced) const;
+  /// Generates this system's fusion plan set for `dag` (Compile and
+  /// Describe; callers read Compile(dag)->plans()).
+  FusionPlanSet MakePlans(const Dag& dag) const;
 
-  /// The execute half: replays a compiled stage table against `inputs`.
-  /// `trust_cached_verification` distinguishes the single-call legacy
-  /// path (the table was verified moments ago; trust it even at
-  /// kParanoid) from artifact replay (kParanoid re-verifies).
-  RunResult ExecuteCompiled(const Dag& dag, const FusionPlanSet& plans,
-                            const CompiledStageTable& table,
-                            const std::map<NodeId, BlockedMatrix>& inputs,
-                            bool trust_cached_verification) const;
+  /// The compile half shared by Compile / CompileWithPlans: stamps the
+  /// engine's configuration on `compiled` (whose DAG and plan set are
+  /// already in place), runs verification (cached into the artifact), and
+  /// freezes per-stage operator selection, solver resolution, and base
+  /// predictions.
+  void CompileStages(OperatorKind forced, CompiledPlan* compiled) const;
+
+  /// The execute half: replays `plan` against `inputs`, which
+  /// CompiledPlan::CheckCompatible has already accepted.
+  RunResult ExecuteCompiled(
+      const CompiledPlan& plan,
+      const std::map<NodeId, BlockedMatrix>& inputs) const;
 
   /// Fills `stats` from the prediction's closed forms (plus the engine's
   /// narrow-dependency and output-write adjustments) and returns the

@@ -17,20 +17,16 @@
 // — kernels, physical operators, the verifier's rule internals — stay
 // behind their own headers on purpose; depend on them only from tests.
 //
-// MIGRATION NOTE (DESIGN.md section 18): Engine::Run and
-// Engine::RunWithPlans are legacy single-shot entry points, kept as thin
-// wrappers over the compile/execute pipeline.  They re-plan, re-verify,
-// and re-resolve solvers on every call.  New code should use
+// The lifecycle (DESIGN.md section 18) is the only way to run a query:
 //
+//   Engine::Create(options)          — validate options, start the plane
 //   Engine::Describe(dag)            — inspect solver choices, run nothing
 //   Engine::Compile(dag)             — plan + verify + resolve, once
 //   Engine::CompileWithPlans(...)    — same, over a caller plan set
 //   Engine::Execute(plan, inputs)    — replay against fresh inputs
 //   CompiledPlan::ToJson/FromJson    — persist across processes
 //
-// and reserve Run/RunWithPlans for one-off queries.  Defining
-// FUSEME_ENABLE_DEPRECATION_WARNINGS turns the legacy pair's
-// FUSEME_DEPRECATED annotations into [[deprecated]] warnings.
+// Execute accepts exactly what CompiledPlan::CheckCompatible admits.
 
 #ifndef FUSEME_FUSEME_H_
 #define FUSEME_FUSEME_H_

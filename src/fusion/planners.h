@@ -37,10 +37,10 @@ struct FusionPlanSet {
   /// whose root it consumes).  Together they cover all operator nodes.
   std::vector<PartialPlan> plans;
   std::string description;
-  /// Invariant violations found while the set was generated (the engine's
-  /// MakePlans verifies intermediate CFG candidates and final coverage
-  /// when EngineOptions::verify is enabled).  Execution refuses to start
-  /// while this is non-empty.
+  /// Invariant violations found while the set was generated (Engine::
+  /// Compile verifies intermediate CFG candidates and final coverage when
+  /// EngineOptions::verify is enabled).  Execution refuses to start while
+  /// this is non-empty.
   std::vector<VerifierDiagnostic> diagnostics;
 };
 

@@ -6,9 +6,9 @@
 //   kZero   — all-zero tile, no storage (common for very sparse matrices);
 //   kDense  — row-major DenseMatrix payload;
 //   kSparse — CSR SparseMatrix payload;
-//   kMeta   — *descriptor only* ({rows, cols, nnz}), used by the analytic
-//             simulator to drive the very same physical operators at paper
-//             scale without allocating the data.
+//   kMeta   — *descriptor only* ({rows, cols, nnz}): analytic mode's
+//             stand-in for inputs and stage outputs at paper scale.  The
+//             kernels and physical operators never see one.
 //
 // Payloads are shared_ptr-held so that replicating a block to many tasks
 // (the heart of BFO/RFO/CFO) is cheap in-process; the CommTracker charges

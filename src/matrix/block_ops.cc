@@ -6,7 +6,6 @@
 
 #include "common/thread_pool.h"
 #include "matrix/sparse_kernels.h"
-#include "matrix/sparsity.h"
 
 namespace fuseme {
 
@@ -88,19 +87,6 @@ Result<Block> EwiseBinary(BinaryFn fn, const Block& a, const Block& b,
   FUSEME_RETURN_IF_ERROR(CheckSameShape(a, b, "EwiseBinary"));
   const std::int64_t cells = a.size();
 
-  if (a.is_meta() || b.is_meta()) {
-    std::int64_t out_nnz =
-        EstimateEwiseBinaryNnz(fn, a.rows(), a.cols(), a.nnz(), b.nnz());
-    if (fn == BinaryFn::kMul) {
-      AddFlops(flops, std::min(a.nnz(), b.nnz()));
-    } else if (fn == BinaryFn::kAdd || fn == BinaryFn::kSub) {
-      AddFlops(flops, std::min(cells, a.nnz() + b.nnz()));
-    } else {
-      AddFlops(flops, cells);
-    }
-    return Block::Meta(a.rows(), a.cols(), out_nnz);
-  }
-
   if (fn == BinaryFn::kMul) {
     if (a.is_zero() || b.is_zero()) return Block::Zero(a.rows(), a.cols());
     // Sparse side drives the iteration: only intersecting positions matter.
@@ -108,7 +94,7 @@ Result<Block> EwiseBinary(BinaryFn fn, const Block& a, const Block& b,
     const bool b_sparse = b.kind() == Block::Kind::kSparse;
     if (a_sparse && b_sparse) {
       // Per-row sorted merge-join: O(nnz(a) + nnz(b)) instead of a binary
-      // search per entry.  Charge matches the meta estimator's bound.
+      // search per entry.
       std::int64_t merge_flops = 0;
       SparseMatrix out = EwiseMulMergeJoin(a.sparse(), b.sparse(), &merge_flops);
       AddFlops(flops, merge_flops);
@@ -196,13 +182,6 @@ Result<Block> EwiseScalar(BinaryFn fn, const Block& a, double scalar,
                                           : ApplyBinary(fn, 0.0, scalar);
   const bool preserves_zero = zero_maps_to == 0.0;
 
-  if (a.is_meta()) {
-    AddFlops(flops, preserves_zero ? a.nnz() : cells);
-    return Block::Meta(
-        a.rows(), a.cols(),
-        EstimateEwiseScalarNnz(fn, a.rows(), a.cols(), a.nnz(), scalar,
-                               scalar_left));
-  }
   if (a.is_zero()) {
     AddFlops(flops, preserves_zero ? 0 : cells);
     return Block::Constant(a.rows(), a.cols(), zero_maps_to);
@@ -233,11 +212,6 @@ Result<Block> Unary(UnaryFn fn, const Block& a, std::int64_t* flops) {
   const std::int64_t cells = a.size();
   const bool preserves_zero = UnaryPreservesZero(fn);
 
-  if (a.is_meta()) {
-    AddFlops(flops, preserves_zero ? a.nnz() : cells);
-    return Block::Meta(a.rows(), a.cols(),
-                       EstimateUnaryNnz(fn, a.rows(), a.cols(), a.nnz()));
-  }
   if (a.is_zero()) {
     AddFlops(flops, preserves_zero ? 0 : cells);
     return Block::Constant(a.rows(), a.cols(), ApplyUnary(fn, 0.0));
@@ -270,11 +244,6 @@ Status MatMulAcc(DenseMatrix* acc, const Block& a, const Block& b,
   }
   FUSEME_CHECK_EQ(acc->rows(), a.rows());
   FUSEME_CHECK_EQ(acc->cols(), b.cols());
-  if (a.is_meta() || b.is_meta()) {
-    return Status::InvalidArgument(
-        "MatMulAcc requires real blocks, got " + a.ToString() + " x " +
-        b.ToString() + " (meta blocks carry no values to accumulate)");
-  }
   if (a.is_zero() || b.is_zero()) return Status::OK();
 
   const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
@@ -328,13 +297,6 @@ Result<Block> MatMul(const Block& a, const Block& b, std::int64_t* flops) {
     return Status::InvalidArgument("MatMul: inner dimension mismatch " +
                                    a.ToString() + " x " + b.ToString());
   }
-  if (a.is_meta() || b.is_meta()) {
-    AddFlops(flops, EstimateMatMulFlops(a.rows(), a.cols(), b.cols(), a.nnz(),
-                                        b.nnz()));
-    return Block::Meta(
-        a.rows(), b.cols(),
-        EstimateMatMulNnz(a.rows(), a.cols(), b.cols(), a.nnz(), b.nnz()));
-  }
   if (a.is_zero() || b.is_zero()) return Block::Zero(a.rows(), b.cols());
   DenseMatrix acc(a.rows(), b.cols());
   FUSEME_RETURN_IF_ERROR(MatMulAcc(&acc, a, b, flops));
@@ -342,20 +304,13 @@ Result<Block> MatMul(const Block& a, const Block& b, std::int64_t* flops) {
 }
 
 Result<Block> Transpose(const Block& a, std::int64_t* flops) {
-  switch (a.kind()) {
-    case Block::Kind::kMeta:
-      AddFlops(flops, a.nnz());
-      return Block::Meta(a.cols(), a.rows(), a.nnz());
-    case Block::Kind::kZero:
-      return Block::Zero(a.cols(), a.rows());
-    case Block::Kind::kDense:
-      AddFlops(flops, a.size());
-      return Block::FromDense(a.dense().Transposed());
-    case Block::Kind::kSparse:
-      AddFlops(flops, a.nnz());
-      return Block::FromSparse(a.sparse().Transposed());
+  if (a.is_zero()) return Block::Zero(a.cols(), a.rows());
+  if (a.kind() == Block::Kind::kDense) {
+    AddFlops(flops, a.size());
+    return Block::FromDense(a.dense().Transposed());
   }
-  return Status::Internal("Transpose: unknown block kind");
+  AddFlops(flops, a.nnz());
+  return Block::FromSparse(a.sparse().Transposed());
 }
 
 namespace {
@@ -370,11 +325,6 @@ Result<Block> Reduce(AggFn fn, ReduceAxis axis, const Block& a,
   const std::int64_t final_rows = axis == ReduceAxis::kAll ? 1 : out_rows;
   const std::int64_t final_cols = axis == ReduceAxis::kAll ? 1 : out_cols;
 
-  if (a.is_meta()) {
-    AddFlops(flops, std::max<std::int64_t>(a.nnz(), 1));
-    // Aggregates are effectively dense vectors/scalars.
-    return Block::Meta(final_rows, final_cols, final_rows * final_cols);
-  }
   if (a.is_zero() && fn == AggFn::kSum) {
     return Block::Zero(final_rows, final_cols);
   }

@@ -1,14 +1,12 @@
 // Block-level local kernels: the "local operation step" primitives.
 //
-// Every kernel works on real blocks (zero/dense/sparse) *and* meta blocks:
-// with a meta input, the output is a meta block whose nnz comes from the
-// sparsity estimators and whose cost still lands in `flops`.  This lets the
-// physical operators (BFO/RFO/CFO) execute unchanged in real mode and in
-// the analytic simulator.
+// Every kernel works on real blocks (zero/dense/sparse); meta blocks are
+// descriptors with no values and are never passed in (real-mode Execute
+// rejects them, and analytic mode fills stage statistics from the cost
+// model without running a kernel).
 //
 // All kernels accept an optional `flops` accumulator; when non-null, the
-// number of floating-point operations performed (or, for meta blocks,
-// estimated) is added to it.
+// number of floating-point operations performed is added to it.
 
 #ifndef FUSEME_MATRIX_BLOCK_OPS_H_
 #define FUSEME_MATRIX_BLOCK_OPS_H_

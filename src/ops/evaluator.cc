@@ -170,8 +170,6 @@ Result<Block> KernelEvaluator::EvalUncached(NodeId node, std::int64_t bi,
       }
       const NodeGrid out = Grid(node);
       DenseMatrix acc(out.TileRows(bi), out.TileCols(bj));
-      bool all_meta_inputs = false;
-      Block meta_result;
       std::int64_t mm_flops = 0;
       // Aᵀ·B fusion: when the lhs is an in-plan transpose of a sparse
       // input, feed the *untransposed* block (kk, bi) straight into the
@@ -190,32 +188,16 @@ Result<Block> KernelEvaluator::EvalUncached(NodeId node, std::int64_t bi,
           FUSEME_ASSIGN_OR_RETURN(Block araw, Eval(pre, kk, bi));
           if (araw.kind() == Block::Kind::kSparse) {
             FUSEME_ASSIGN_OR_RETURN(Block b, Eval(n.inputs[1], kk, bj));
-            if (b.is_real()) {
-              TransposeSpmmAcc(&acc, araw.sparse(), b, &mm_flops);
-              continue;
-            }
+            TransposeSpmmAcc(&acc, araw.sparse(), b, &mm_flops);
+            continue;
           }
         }
         FUSEME_ASSIGN_OR_RETURN(Block a, Eval(n.inputs[0], bi, kk));
         FUSEME_ASSIGN_OR_RETURN(Block b, Eval(n.inputs[1], kk, bj));
-        if (a.is_meta() || b.is_meta()) {
-          // Simulated data: accumulate descriptors instead of numbers.
-          FUSEME_ASSIGN_OR_RETURN(Block partial, MatMul(a, b, &mm_flops));
-          if (!all_meta_inputs) {
-            meta_result = partial;
-            all_meta_inputs = true;
-          } else {
-            FUSEME_ASSIGN_OR_RETURN(
-                meta_result,
-                MergeAgg(AggFn::kSum, meta_result, partial, nullptr));
-          }
-          continue;
-        }
         FUSEME_RETURN_IF_ERROR(MatMulAcc(&acc, a, b, &mm_flops));
       }
       flops_ += mm_flops;
       gemm_flops_ += mm_flops;
-      if (all_meta_inputs) return meta_result;
       Block dense = Block::FromDense(std::move(acc));
       if (dense.nnz() == 0) return Block::Zero(dense.rows(), dense.cols());
       if (dense.density() < kDenseStorageThreshold) {
@@ -275,7 +257,6 @@ Result<bool> KernelEvaluator::TrySddmm(NodeId node, const Block& mask,
   for (std::int64_t kk = k0; kk < k1; ++kk) {
     FUSEME_ASSIGN_OR_RETURN(Block a, Eval(lhs_id, bi, kk));
     FUSEME_ASSIGN_OR_RETURN(Block b, Eval(rhs_id, kk, bj));
-    if (a.is_meta() || b.is_meta()) return false;  // simulated data
     a_blocks.push_back(std::move(a));
     b_blocks.push_back(std::move(b));
   }
@@ -304,9 +285,8 @@ Result<Block> KernelEvaluator::EvalMaskedMul(const Node& n, std::int64_t bi,
 
   FUSEME_ASSIGN_OR_RETURN(Block mask, Eval(mask_id, bi, bj));
   if (mask.is_zero()) return Block::Zero(mask.rows(), mask.cols());
-  if (mask.is_meta() || mask.kind() == Block::Kind::kDense) {
-    // No exploitable pattern at runtime (meta blocks can't be iterated and
-    // dense masks don't pay off): fall back to the block path.
+  if (mask.kind() == Block::Kind::kDense) {
+    // Dense masks don't pay off: fall back to the block path.
     FUSEME_ASSIGN_OR_RETURN(Block lhs, Eval(n.inputs[0], bi, bj));
     FUSEME_ASSIGN_OR_RETURN(Block rhs, Eval(n.inputs[1], bi, bj));
     return EwiseBinary(n.binary_fn, lhs, rhs, &flops_);
@@ -373,7 +353,7 @@ Result<Block> KernelEvaluator::EvalMaskedNode(NodeId value_node,
     const NodeGrid out = Grid(value_node);
     return Block::Zero(out.TileRows(bi), out.TileCols(bj));
   }
-  if (!mask.is_real() || mask.kind() == Block::Kind::kDense) {
+  if (mask.kind() == Block::Kind::kDense) {
     return Eval(value_node, bi, bj);
   }
   const std::int64_t gi0 = bi * block_size_;
@@ -426,9 +406,6 @@ Result<double> KernelEvaluator::EvalElement(NodeId node, std::int64_t gi,
   if (!plan_->Contains(node)) {
     if (n.kind == OpKind::kScalar) return n.scalar;
     FUSEME_ASSIGN_OR_RETURN(Block block, Eval(node, bi, bj));
-    if (!block.is_real()) {
-      return Status::Internal("element access on meta block");
-    }
     return block.At(li, lj);
   }
 

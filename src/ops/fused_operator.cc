@@ -92,7 +92,7 @@ std::vector<std::int64_t> TileAxisNnz(const BlockedMatrix& m, int axis) {
 /// pay.  Sleeping idles the CPU, so a staged copy genuinely overlaps
 /// compute.  Wall-clock only; no effect on results or accounting.
 void PaceTransfer(double seconds_per_byte, const Block& block) {
-  if (seconds_per_byte <= 0.0 || !block.is_real()) return;
+  if (seconds_per_byte <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double>(
       static_cast<double>(block.SizeBytes()) * seconds_per_byte));
 }
@@ -236,9 +236,8 @@ BlockPrefetcher::CopyHook MakeCopyHook(Tracer* tracer, std::string stage) {
 /// `idx` is evaluated, the external-input blocks of outputs
 /// [idx, idx + depth] have been enumerated (EnumerateFetches) and staged
 /// on the thread pool, so their copies run while earlier blocks compute;
-/// depth 1 is classic double buffering.  Depth 0 — and meta-block stages,
-/// which pass depth 0 — skip staging entirely: the legacy synchronous
-/// path, byte-for-byte.
+/// depth 1 is classic double buffering.  Depth 0 skips staging entirely:
+/// the synchronous path, byte-for-byte.
 ///
 /// Determinism: issuance is pure lookahead.  Charges happen only when the
 /// consuming fetcher asks for a block (same order, same dedup as the
@@ -535,10 +534,9 @@ struct SparseKernelFlushGuard {
 using ItemBody = std::function<Status(std::int64_t, LocalStageAccounting*)>;
 
 /// Executes `items->size()` work items: on the global pool when `threads`
-/// > 1, inline and in index order otherwise (threads=1 and meta-block
-/// simulation).  Items are independent, and every observable side effect
-/// is replayed by a sequential commit pass afterwards, so results are
-/// identical for every thread count.
+/// > 1, inline and in index order otherwise.  Items are independent, and
+/// every observable side effect is replayed by a sequential commit pass
+/// afterwards, so results are identical for every thread count.
 ///
 /// Fault tolerance (DESIGN.md section 13): when the stage carries a
 /// FaultInjector, each attempt of each item consults the deterministic
@@ -661,16 +659,6 @@ void RunItems(StageContext* ctx, int threads, std::vector<WorkItem>* items,
   }
 }
 
-/// True when every bound input carries real block data.  Meta-block
-/// (analytic simulation) stages always run serially so the simulator stays
-/// deterministic byte-for-byte.
-bool AllInputsReal(const FusedInputs& inputs) {
-  for (const auto& [id, dm] : inputs) {
-    if (!dm->blocks().IsReal()) return false;
-  }
-  return true;
-}
-
 /// Commits round-robin-partitioned work items in the serial global
 /// (bi, bj) scan order: replays each task's buffered blocks against the
 /// shared context, reproducing the exact charge and aggregation-merge
@@ -778,14 +766,9 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
   BlockedMatrix out_blocks(root.rows, root.cols, bs);
   AggMerger agg_merger(root, ctx);
 
-  const bool real_inputs = AllInputsReal(inputs);
-  const int threads = real_inputs ? ctx->Parallelism() : 1;
-  // Meta-block stages skip the prefetch pipeline and transfer pacing:
-  // their copies are descriptor-sized and the simulator models their
-  // transfer time analytically.
-  const int depth = real_inputs ? ctx->config().prefetch_depth : 0;
-  const double pace =
-      real_inputs ? ctx->config().emulated_shuffle_seconds_per_byte : 0.0;
+  const int threads = ctx->Parallelism();
+  const int depth = ctx->config().prefetch_depth;
+  const double pace = ctx->config().emulated_shuffle_seconds_per_byte;
   const StageInstruments ins = StageInstruments::Resolve(ctx->metrics());
   SparseKernelFlushGuard sparse_guard(ins);
 
@@ -1073,11 +1056,9 @@ Result<DistributedMatrix> BroadcastFusedOperator::Execute(
   const std::int64_t gr = out_grid.grid_rows();
   const std::int64_t gc = out_grid.grid_cols();
 
-  const bool real_inputs = AllInputsReal(inputs);
-  const int threads = real_inputs ? ctx->Parallelism() : 1;
-  const int depth = real_inputs ? ctx->config().prefetch_depth : 0;
-  const double pace =
-      real_inputs ? ctx->config().emulated_shuffle_seconds_per_byte : 0.0;
+  const int threads = ctx->Parallelism();
+  const int depth = ctx->config().prefetch_depth;
+  const double pace = ctx->config().emulated_shuffle_seconds_per_byte;
   const StageInstruments ins = StageInstruments::Resolve(ctx->metrics());
   SparseKernelFlushGuard sparse_guard(ins);
 

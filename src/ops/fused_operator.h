@@ -17,8 +17,9 @@
 //    (charged against each task's memory budget, which is exactly how the
 //    BFO O.O.M. failures of Figs. 12/14 arise).
 //
-// Execution is representation-agnostic: with meta-block inputs the same
-// control flow runs the analytic simulation.
+// Inputs carry real block data.  Analytic mode never reaches these
+// operators: it fills stage statistics from the cost model's closed forms
+// (Engine::RunPlanAnalytic).
 
 #ifndef FUSEME_OPS_FUSED_OPERATOR_H_
 #define FUSEME_OPS_FUSED_OPERATOR_H_

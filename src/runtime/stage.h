@@ -127,7 +127,7 @@ class StageAccounting {
 /// still charge a LocalStageAccounting and fold it in via MergeTask:
 /// that keeps the hot per-block charges task-local (no contention) and
 /// the merged totals order-independent; the direct Charge* path is the
-/// serial/meta-mode convenience, paying one uncontended lock per charge.
+/// serial convenience, paying one uncontended lock per charge.
 class StageContext : public StageAccounting {
  public:
   StageContext(std::string label, const ClusterConfig& config)

@@ -16,13 +16,14 @@
 namespace fuseme::event_names {
 
 // --- Engine lifecycle ---
-/// A Run/RunWithPlans invocation started; payload: system, mode, plans.
+/// An Engine::Execute started; payload: system, mode, plans.
 inline constexpr char kRunStart[] = "fuseme.engine.run_start";
-/// The run returned; payload: status, elapsed_seconds, stages.
+/// The Execute returned; payload: status, elapsed_seconds, stages.
 inline constexpr char kRunFinish[] = "fuseme.engine.run_finish";
 
 // --- Planner / optimizer decisions ---
-/// MakePlans produced its final plan set; payload: planner, plans.
+/// The planner (under Compile or Describe) produced its final plan set;
+/// payload: planner, plans.
 inline constexpr char kPlannerPlans[] = "fuseme.planner.plans_ready";
 /// The (P,Q,R) search chose a cuboid for a plan; payload: plan, cuboid,
 /// cost_seconds (or feasible=false when nothing fit the budget).

@@ -30,7 +30,8 @@ inline constexpr char kPlannerSplitAttempts[] =
 inline constexpr char kPlannerSplits[] = "fuseme_planner_splits_total";
 /// Plans kept in the final plan set, labeled {planner=...}.
 inline constexpr char kPlannerPlans[] = "fuseme_planner_plans_total";
-/// Histogram of MakePlans wall time in seconds.
+/// Histogram of planner wall time in seconds, one observation per
+/// Compile or Describe (CompileWithPlans runs no planner).
 inline constexpr char kPlannerWallSeconds[] = "fuseme_planner_wall_seconds";
 
 // --- (P,Q,R) optimizer ---
@@ -59,7 +60,7 @@ inline constexpr char kSolverResolutions[] =
 /// registry falls through to the next (less refined) candidate.
 inline constexpr char kSolverRejections[] =
     "fuseme_solver_rejections_total";
-/// Stage attempts dispatched through a solver's Run/analytic path,
+/// Stage attempts dispatched through a solver's real or analytic path,
 /// labeled {solver=...}.  Grows with every execute, unlike resolutions.
 inline constexpr char kSolverExecutions[] =
     "fuseme_solver_executions_total";

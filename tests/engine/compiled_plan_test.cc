@@ -1,15 +1,20 @@
-// CompiledPlan (DESIGN.md section 18): compile-once/execute-many replays
-// must be bitwise identical to the legacy single-shot Run across dense,
-// sparse, and fault-injected schedules; the JSON artifact round-trips;
-// and CheckCompatible rejects mismatched shapes, sparsity classes, and
-// clusters with precise messages before any stage runs.
+// CompiledPlan (DESIGN.md section 18): replays must be bitwise identical
+// to an independent compile-and-execute (a fresh engine's Compile, or a
+// FromJson(ToJson()) artifact) across dense, sparse, and fault-injected
+// schedules, and to a serial Execute when threads share one artifact; the
+// JSON artifact round-trips; and CheckCompatible — the one gate on what
+// Execute accepts — rejects mismatched shapes, sparsity classes, block
+// sizes, descriptors, non-leaf bindings, and clusters with precise
+// messages before any stage runs.
 
 #include "engine/compiled_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -19,6 +24,7 @@
 #include "matrix/generators.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
+#include "verify/plan_verifier.h"
 #include "workloads/queries.h"
 
 namespace fuseme {
@@ -130,7 +136,7 @@ TEST(CompiledPlanTest, CompileRecordsSolverTable) {
   EXPECT_EQ(compiled->forced(), OperatorKind::kAuto);
   EXPECT_FALSE(compiled->analytic());
   EXPECT_EQ(compiled->verify(), VerifyLevel::kPlanner);
-  EXPECT_TRUE(compiled->table().verified);
+  EXPECT_TRUE(compiled->verified());
   EXPECT_TRUE(compiled->diagnostics().empty());
   ASSERT_FALSE(compiled->stages().empty());
   ASSERT_EQ(compiled->stages().size(), compiled->plans().plans.size());
@@ -150,8 +156,12 @@ TEST(CompiledPlanTest, ExecuteMatchesRunOnSparseWorkloadAllSystems) {
        {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kMatFast,
         SystemMode::kDistMe}) {
     SCOPED_TRACE(std::string(SystemModeName(mode)));
+    Engine reference(Options(mode));
+    Result<CompiledPlan> reference_compiled = reference.Compile(f.q.dag);
+    ASSERT_TRUE(reference_compiled.ok()) << reference_compiled.status();
+    const Engine::RunResult base =
+        reference.Execute(*reference_compiled, f.inputs);
     Engine engine(Options(mode));
-    const Engine::RunResult base = engine.Run(f.q.dag, f.inputs);
     Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
     ASSERT_TRUE(compiled.ok()) << compiled.status();
     ExpectIdenticalRuns(base, engine.Execute(*compiled, f.inputs));
@@ -161,16 +171,18 @@ TEST(CompiledPlanTest, ExecuteMatchesRunOnSparseWorkloadAllSystems) {
 TEST(CompiledPlanTest, ExecuteMatchesRunOnDenseWorkload) {
   DenseNmfFixture f;
   Engine engine(Options());
-  const Engine::RunResult base = engine.Run(f.q.dag, f.inputs);
   Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
+  Result<CompiledPlan> reference = CompiledPlan::FromJson(compiled->ToJson());
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const Engine::RunResult base = engine.Execute(*reference, f.inputs);
   ExpectIdenticalRuns(base, engine.Execute(*compiled, f.inputs));
 }
 
 TEST(CompiledPlanTest, ExecuteMatchesRunUnderFaultSchedules) {
   // The injector's schedule is a pure function of (seed, stage, item,
   // attempt): replaying a compiled artifact must reproduce the same
-  // failures, retries, and recovered outputs as the single-shot run.
+  // failures, retries, and recovered outputs as an independent compile.
   GnmfFixture f;
   for (const auto& [seed, probability] :
        std::vector<std::pair<std::uint64_t, double>>{{7, 0.3}, {11, 0.6}}) {
@@ -180,9 +192,13 @@ TEST(CompiledPlanTest, ExecuteMatchesRunUnderFaultSchedules) {
     options.faults.task_failure_probability = probability;
     options.recovery.retry.max_attempts = 5;
     options.recovery.retry.backoff_base_seconds = 0.0;
-    Engine engine(options);
-    const Engine::RunResult base = engine.Run(f.q.dag, f.inputs);
+    Engine reference(options);
+    Result<CompiledPlan> reference_compiled = reference.Compile(f.q.dag);
+    ASSERT_TRUE(reference_compiled.ok()) << reference_compiled.status();
+    const Engine::RunResult base =
+        reference.Execute(*reference_compiled, f.inputs);
     ASSERT_TRUE(base.report.ok()) << base.report.status;
+    Engine engine(options);
     Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
     ASSERT_TRUE(compiled.ok()) << compiled.status();
     ExpectIdenticalRuns(base, engine.Execute(*compiled, f.inputs));
@@ -306,6 +322,180 @@ TEST(CompiledPlanTest, CheckCompatibleRejectsForeignClusterAndSystem) {
   EXPECT_NE(system_run.report.status.message().find("compiled for system"),
             std::string::npos)
       << system_run.report.status;
+}
+
+TEST(CompiledPlanTest, CheckCompatibleRejectsBlockSizeMismatch) {
+  // The artifact and engine agree on the cluster; one input is blocked
+  // differently.  Execute must refuse it by name instead of aborting.
+  GnmfFixture f;
+  Engine engine(Options());
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+
+  std::map<NodeId, BlockedMatrix> reblocked = f.inputs;
+  reblocked[f.q.V] = BlockedMatrix::FromDense(
+      RandomDense(26, 6, /*seed=*/52, 0.5, 1.5), 2 * kBs);
+  const Engine::RunResult run = engine.Execute(*compiled, reblocked);
+  EXPECT_TRUE(run.report.status.IsInvalidArgument()) << run.report.status;
+  EXPECT_NE(run.report.status.message().find(
+                "input v" + std::to_string(f.q.V) + " (V) blocked at 8"),
+            std::string::npos)
+      << run.report.status;
+  EXPECT_TRUE(run.report.stages.empty());
+}
+
+TEST(CompiledPlanTest, CheckCompatibleRejectsDescriptorsInRealMode) {
+  // A metadata descriptor carries no block data: real-mode Execute must
+  // refuse it rather than run the kernels on invented values.
+  GnmfFixture f;
+  Engine engine(Options());
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+
+  std::map<NodeId, BlockedMatrix> described = f.inputs;
+  described[f.q.X] = BlockedMatrix::MakeMeta(26, 20, /*nnz=*/104, kBs);
+  const Engine::RunResult run = engine.Execute(*compiled, described);
+  EXPECT_TRUE(run.report.status.IsInvalidArgument()) << run.report.status;
+  EXPECT_NE(run.report.status.message().find("metadata descriptor"),
+            std::string::npos)
+      << run.report.status;
+  EXPECT_TRUE(run.report.stages.empty());
+  EXPECT_EQ(run.report.flops, 0);
+}
+
+TEST(CompiledPlanTest, CheckCompatibleRejectsBindingsToNonLeafIds) {
+  // A binding to an operator node would replace the value its stage
+  // computes; an id outside the DAG binds nothing.  Both are refused.
+  NmfPattern q = BuildNmfPattern(64, 64, 16, /*x_nnz=*/400);
+  std::map<NodeId, BlockedMatrix> inputs;
+  inputs[q.X] = BlockedMatrix::FromSparse(
+      RandomSparse(64, 64, 400.0 / (64 * 64), /*seed=*/81, 1.0, 2.0), kBs);
+  inputs[q.U] =
+      BlockedMatrix::FromDense(RandomDense(64, 16, /*seed=*/82, 0.5, 1.5), kBs);
+  inputs[q.V] =
+      BlockedMatrix::FromDense(RandomDense(64, 16, /*seed=*/83, 0.5, 1.5), kBs);
+  Engine engine(Options());
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  ASSERT_TRUE(engine.Execute(*compiled, inputs).ok());
+
+  const BlockedMatrix dense =
+      BlockedMatrix::FromDense(RandomDense(64, 64, /*seed=*/84), kBs);
+  for (const NodeId id : {q.mul, static_cast<NodeId>(q.dag.num_nodes())}) {
+    SCOPED_TRACE("binding v" + std::to_string(id));
+    std::map<NodeId, BlockedMatrix> extra = inputs;
+    extra.emplace(id, dense);
+    const Engine::RunResult run = engine.Execute(*compiled, extra);
+    EXPECT_TRUE(run.report.status.IsInvalidArgument()) << run.report.status;
+    EXPECT_NE(run.report.status.message().find(
+                  "v" + std::to_string(id) + " is not one"),
+              std::string::npos)
+        << run.report.status;
+    EXPECT_TRUE(run.outputs.empty());
+    EXPECT_TRUE(run.report.stages.empty());
+  }
+}
+
+TEST(CompiledPlanTest, ParanoidReportsEachDiagnosticOnce) {
+  // One node in two plans: exactly one planset-overlap finding.  kParanoid
+  // re-verifies on Execute, and the fresh pass must replace the cached
+  // compile-time one, not stack on top of it.
+  NmfPattern q = BuildNmfPattern(40, 36, 24, /*x_nnz=*/288);
+  FusionPlanSet overlapping;
+  overlapping.plans.emplace_back(&q.dag, std::vector<NodeId>{q.vT}, q.vT);
+  overlapping.plans.emplace_back(
+      &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
+  std::map<VerifyLevel, std::vector<VerifierDiagnostic>> reported;
+  for (const VerifyLevel level :
+       {VerifyLevel::kPlanner, VerifyLevel::kParanoid}) {
+    SCOPED_TRACE(std::string(VerifyLevelName(level)));
+    EngineOptions options = Options();
+    options.analytic = true;
+    options.verify = level;
+    Engine engine(options);
+    Result<CompiledPlan> compiled =
+        engine.CompileWithPlans(q.dag, overlapping);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    const Engine::RunResult run = engine.Execute(*compiled, {});
+    EXPECT_EQ(run.report.status.code(), StatusCode::kInternal);
+    EXPECT_EQ(std::count_if(run.report.verifier_diagnostics.begin(),
+                            run.report.verifier_diagnostics.end(),
+                            [](const VerifierDiagnostic& d) {
+                              return d.rule == rules::kPlanSetOverlap;
+                            }),
+              1)
+        << FormatDiagnostics(run.report.verifier_diagnostics);
+    reported[level] = run.report.verifier_diagnostics;
+  }
+  EXPECT_EQ(FormatDiagnostics(reported[VerifyLevel::kParanoid]),
+            FormatDiagnostics(reported[VerifyLevel::kPlanner]));
+}
+
+TEST(CompiledPlanTest, FailedVerificationRoundTripsThroughJson) {
+  // An artifact rejected at compile time carries its diagnostics and no
+  // stages; persisted and restored, it must report the same diagnostics.
+  NmfPattern q = BuildNmfPattern(40, 36, 24, /*x_nnz=*/288);
+  FusionPlanSet overlapping;
+  overlapping.plans.emplace_back(&q.dag, std::vector<NodeId>{q.vT}, q.vT);
+  overlapping.plans.emplace_back(
+      &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
+  EngineOptions options = Options();
+  options.analytic = true;
+  Engine engine(options);
+  Result<CompiledPlan> compiled = engine.CompileWithPlans(q.dag, overlapping);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  ASSERT_TRUE(compiled->stages().empty());
+  ASSERT_FALSE(compiled->diagnostics().empty());
+
+  const std::string json = compiled->ToJson();
+  Result<CompiledPlan> restored = CompiledPlan::FromJson(json);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_TRUE(restored->stages().empty());
+  EXPECT_EQ(FormatDiagnostics(restored->diagnostics()),
+            FormatDiagnostics(compiled->diagnostics()));
+  EXPECT_EQ(restored->ToJson(), json);
+
+  const Engine::RunResult original = engine.Execute(*compiled, {});
+  const Engine::RunResult replayed = engine.Execute(*restored, {});
+  EXPECT_EQ(replayed.report.status.code(), StatusCode::kInternal);
+  EXPECT_EQ(replayed.report.status.message(),
+            original.report.status.message());
+  EXPECT_EQ(FormatDiagnostics(replayed.report.verifier_diagnostics),
+            FormatDiagnostics(original.report.verifier_diagnostics));
+  EXPECT_TRUE(replayed.report.stages.empty());
+}
+
+TEST(CompiledPlanTest, ConcurrentExecuteMatchesSerialBitwise) {
+  // Four threads replay one artifact on one engine (whose stages fan out
+  // over the shared pool too); every replay must equal a serial Execute.
+  constexpr int kThreads = 4;
+  constexpr int kExecutesPerThread = 8;
+  GnmfFixture f;
+  EngineOptions options = Options();
+  options.cluster.local_threads = 2;
+  Engine engine(options);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const Engine::RunResult serial = engine.Execute(*compiled, f.inputs);
+
+  std::vector<std::vector<Engine::RunResult>> runs(
+      kThreads, std::vector<Engine::RunResult>(kExecutesPerThread));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (Engine::RunResult& run : runs[t]) {
+        run = engine.Execute(*compiled, f.inputs);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kExecutesPerThread; ++i) {
+      SCOPED_TRACE("thread " + std::to_string(t) + " execute " +
+                   std::to_string(i));
+      ExpectIdenticalRuns(serial, runs[t][i]);
+    }
+  }
 }
 
 TEST(CompiledPlanTest, TamperedSolverIdFailsFromJson) {

@@ -19,27 +19,12 @@ EngineOptions PaperOptions(SystemMode mode) {
   return options;
 }
 
-// The compiled counterpart of the historical RunWithPlans calls these
-// tests were written against: freeze the caller plan set into an artifact
-// once, then execute it.
-Engine::RunResult CompileExecute(const Engine& engine, const Dag& dag,
-                                 const FusionPlanSet& plans,
-                                 const std::map<NodeId, BlockedMatrix>& inputs,
-                                 OperatorKind forced) {
-  Result<CompiledPlan> compiled = engine.CompileWithPlans(dag, plans, forced);
-  if (!compiled.ok()) {
-    ADD_FAILURE() << compiled.status();
-    Engine::RunResult out;
-    out.report.status = compiled.status();
-    return out;
-  }
-  return engine.Execute(*compiled, inputs);
-}
-
 TEST(EngineAnalyticTest, RunsWithoutBoundInputs) {
   GnmfQuery q = BuildGnmf(480000, 17700, 200, /*x_nnz=*/100480507);
   Engine engine(PaperOptions(SystemMode::kFuseMe));
-  auto run = engine.Run(q.dag, {});
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, {});
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_GT(run.report.elapsed_seconds, 0.0);
   EXPECT_GT(run.report.consolidation_bytes, 0);
@@ -60,7 +45,9 @@ TEST(EngineAnalyticTest, FuseMeBeatsBaselinesOnGnmf) {
        {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kMatFast,
         SystemMode::kDistMe}) {
     Engine engine(PaperOptions(mode));
-    auto run = engine.Run(q.dag, {});
+    Result<CompiledPlan> compiled = engine.Compile(q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto run = engine.Execute(*compiled, {});
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status;
     reports[mode] = run.report;
@@ -88,9 +75,18 @@ TEST(EngineAnalyticTest, Fig12OperatorOrdering) {
   full.description = "single fused operator";
 
   Engine engine(PaperOptions(SystemMode::kFuseMe));
-  auto cfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
-  auto bfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kBfo);
-  auto rfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kRfo);
+  Result<CompiledPlan> cfo_compiled =
+      engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo);
+  ASSERT_TRUE(cfo_compiled.ok()) << cfo_compiled.status();
+  auto cfo = engine.Execute(*cfo_compiled, {});
+  Result<CompiledPlan> bfo_compiled =
+      engine.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(bfo_compiled.ok()) << bfo_compiled.status();
+  auto bfo = engine.Execute(*bfo_compiled, {});
+  Result<CompiledPlan> rfo_compiled =
+      engine.CompileWithPlans(q.dag, full, OperatorKind::kRfo);
+  ASSERT_TRUE(rfo_compiled.ok()) << rfo_compiled.status();
+  auto rfo = engine.Execute(*rfo_compiled, {});
   ASSERT_TRUE(cfo.report.ok()) << cfo.report.status;
   ASSERT_TRUE(bfo.report.ok()) << bfo.report.status;
   ASSERT_TRUE(rfo.report.ok()) << rfo.report.status;
@@ -109,9 +105,15 @@ TEST(EngineAnalyticTest, BfoOomsWhenSidesLarge) {
   full.plans.emplace_back(
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
   Engine engine(PaperOptions(SystemMode::kFuseMe));
-  auto bfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kBfo);
+  Result<CompiledPlan> bfo_compiled =
+      engine.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(bfo_compiled.ok()) << bfo_compiled.status();
+  auto bfo = engine.Execute(*bfo_compiled, {});
   EXPECT_TRUE(bfo.report.status.IsOutOfMemory());
-  auto cfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
+  Result<CompiledPlan> cfo_compiled =
+      engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo);
+  ASSERT_TRUE(cfo_compiled.ok()) << cfo_compiled.status();
+  auto cfo = engine.Execute(*cfo_compiled, {});
   EXPECT_TRUE(cfo.report.ok()) << "CFO adapts (P,Q,R) and survives";
 }
 
@@ -137,10 +139,16 @@ TEST(EngineAnalyticTest, AnalyticTracksRealMeasurement) {
   full.plans.emplace_back(
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
 
-  auto real = CompileExecute(Engine(real_options), q.dag, full, inputs,
-                             OperatorKind::kCfo);
-  auto analytic = CompileExecute(Engine(analytic_options), q.dag, full, {},
-                                 OperatorKind::kCfo);
+  Engine real_engine(real_options);
+  Engine analytic_engine(analytic_options);
+  Result<CompiledPlan> real_compiled =
+      real_engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo);
+  ASSERT_TRUE(real_compiled.ok()) << real_compiled.status();
+  auto real = real_engine.Execute(*real_compiled, inputs);
+  Result<CompiledPlan> analytic_compiled =
+      analytic_engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo);
+  ASSERT_TRUE(analytic_compiled.ok()) << analytic_compiled.status();
+  auto analytic = analytic_engine.Execute(*analytic_compiled, {});
   ASSERT_TRUE(real.report.ok()) << real.report.status;
   ASSERT_TRUE(analytic.report.ok()) << analytic.report.status;
   const double real_bytes =
@@ -163,7 +171,10 @@ TEST(EngineAnalyticTest, MorеNodesFaster) {
     EngineOptions options = PaperOptions(SystemMode::kFuseMe);
     options.cluster.num_nodes = nodes;
     Engine engine(options);
-    auto run = CompileExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
+    Result<CompiledPlan> compiled =
+        engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto run = engine.Execute(*compiled, {});
     ASSERT_TRUE(run.report.ok());
     EXPECT_LT(run.report.elapsed_seconds, prev);
     prev = run.report.elapsed_seconds;

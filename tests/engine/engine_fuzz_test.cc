@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -47,16 +48,19 @@ RandomQuery MakeRandomQuery(std::uint64_t seed) {
     const std::int64_t rows = dims[pick(0, 4)];
     const std::int64_t cols = dims[pick(0, 4)];
     const bool sparse = pick(0, 2) == 0;
-    NodeId id = *q.dag.AddInput("L" + std::to_string(i), rows, cols,
-                                sparse ? rows * cols / 8 : -1);
     DenseMatrix value =
         sparse ? RandomSparse(rows, cols, 0.12, seed * 31 + i, 0.3, 1.2)
                      .ToDense()
                : RandomDense(rows, cols, seed * 31 + i, 0.3, 1.2);
-    q.dense[id] = value;
-    q.blocked[id] = sparse ? BlockedMatrix::FromSparse(
-                                 SparseMatrix::FromDense(value), kBs)
-                           : BlockedMatrix::FromDense(value, kBs);
+    BlockedMatrix blocked = sparse ? BlockedMatrix::FromSparse(
+                                         SparseMatrix::FromDense(value), kBs)
+                                   : BlockedMatrix::FromDense(value, kBs);
+    // Sparse leaves declare the nnz of the matrix bound to them: Execute
+    // admits only inputs of the sparsity class the plan was compiled for.
+    NodeId id = *q.dag.AddInput("L" + std::to_string(i), rows, cols,
+                                sparse ? blocked.nnz() : -1);
+    q.dense[id] = std::move(value);
+    q.blocked[id] = std::move(blocked);
     pool.push_back({id, rows, cols});
   }
 
@@ -154,7 +158,9 @@ TEST_P(EngineFuzz, AllSystemsMatchOracle) {
         SystemMode::kDistMe, SystemMode::kTensorFlow}) {
     options.system = mode;
     Engine engine(options);
-    auto run = engine.Run(q.dag, q.blocked);
+    Result<CompiledPlan> compiled = engine.Compile(q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto run = engine.Execute(*compiled, q.blocked);
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << " seed " << GetParam() << ": "
         << run.report.status;

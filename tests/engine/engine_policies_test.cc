@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -43,7 +44,10 @@ TEST(CpmmTest, ForcedCpmmMatchesReference) {
   FusionPlanSet plans;
   plans.plans.emplace_back(&dag, std::vector<NodeId>{mm}, mm);
   Engine engine(SmallOptions(SystemMode::kSystemDs));
-  auto run = engine.RunWithPlans(dag, plans, inputs, OperatorKind::kCpmm);
+  Result<CompiledPlan> compiled =
+      engine.CompileWithPlans(dag, plans, OperatorKind::kCpmm);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_LE(DenseMatrix::MaxAbsDiff(run.outputs.at(mm).blocks().ToDense(),
                                     *expected),
@@ -59,7 +63,9 @@ TEST(CpmmTest, AnalyticSystemDsSurvivesHugeSides) {
   options.system = SystemMode::kSystemDs;
   options.analytic = true;
   Engine engine(options);
-  auto run = engine.Run(q.dag, {});
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, {});
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   bool used_cpmm = false;
   for (const StageStats& s : run.report.stages) {
@@ -79,7 +85,9 @@ TEST(NarrowDependencyTest, CoPartitionedEwiseStageIsShuffleFree) {
   inputs[x] = BlockedMatrix::FromSparse(RandomSparse(32, 32, 0.1, 3), kBs);
   inputs[u] = BlockedMatrix::FromDense(RandomDense(32, 32, 4), kBs);
   Engine engine(SmallOptions(SystemMode::kFuseMe));
-  auto run = engine.Run(dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok());
   EXPECT_EQ(run.report.consolidation_bytes, 0)
       << "co-partitioned element-wise inputs must not shuffle";
@@ -93,7 +101,9 @@ TEST(NarrowDependencyTest, TransposeStageStillShuffles) {
   std::map<NodeId, BlockedMatrix> inputs;
   inputs[x] = BlockedMatrix::FromDense(RandomDense(32, 16, 5), kBs);
   Engine engine(SmallOptions(SystemMode::kFuseMe));
-  auto run = engine.Run(dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok());
   EXPECT_GT(run.report.consolidation_bytes, 0)
       << "reorganization is a wide dependency";
@@ -111,7 +121,9 @@ TEST(TensorFlowModeTest, MatchesReferenceOnNmf) {
   auto expected = ReferenceEval(q.dag, q.mul,
                                 {{q.X, x.ToDense()}, {q.U, u}, {q.V, v}});
   Engine engine(SmallOptions(SystemMode::kTensorFlow));
-  auto run = engine.Run(q.dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_LE(DenseMatrix::MaxAbsDiff(run.outputs.at(q.mul).blocks().ToDense(),
                                     *expected),
@@ -146,7 +158,9 @@ TEST(GnmfChainTest, UnoptimizedChainCostsMoreAnalytically) {
     options.analytic = true;
     options.system = SystemMode::kMatFast;
     Engine engine(options);
-    auto run = engine.Run(q.dag, {});
+    Result<CompiledPlan> compiled = engine.Compile(q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto run = engine.Execute(*compiled, {});
     ASSERT_TRUE(run.report.ok()) << run.report.status;
     costs[chain_opt ? 0 : 1] = run.report.elapsed_seconds;
   }
@@ -187,7 +201,10 @@ TEST(ForcedOperatorTest, CpmmOnFusedPlanMatchesOthers) {
   full.plans.emplace_back(
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
   Engine engine(SmallOptions(SystemMode::kFuseMe));
-  auto run = engine.RunWithPlans(q.dag, full, inputs, OperatorKind::kCpmm);
+  Result<CompiledPlan> compiled =
+      engine.CompileWithPlans(q.dag, full, OperatorKind::kCpmm);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_LE(DenseMatrix::MaxAbsDiff(run.outputs.at(q.mul).blocks().ToDense(),
                                     *expected),

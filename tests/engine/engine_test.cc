@@ -53,7 +53,9 @@ class AllSystems : public ::testing::TestWithParam<SystemMode> {};
 TEST_P(AllSystems, GnmfStepMatchesReference) {
   GnmfFixture f;
   Engine engine(Options(GetParam()));
-  Engine::RunResult run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  Engine::RunResult run = engine.Execute(*compiled, f.inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   ASSERT_EQ(run.outputs.size(), 2u);
   EXPECT_LE(DenseMatrix::MaxAbsDiff(
@@ -82,7 +84,9 @@ TEST_P(AllSystems, AlsLossMatchesReference) {
   ASSERT_TRUE(expected.ok());
 
   Engine engine(Options(GetParam()));
-  Engine::RunResult run = engine.Run(q.dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  Engine::RunResult run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_NEAR(run.outputs.at(q.loss).blocks().ToDense()(0, 0),
               (*expected)(0, 0), 1e-8);
@@ -101,8 +105,12 @@ TEST(EngineTest, FuseMeUsesFewerStagesThanDistMe) {
   GnmfFixture f;
   Engine fuseme(Options(SystemMode::kFuseMe));
   Engine distme(Options(SystemMode::kDistMe));
-  auto run_f = fuseme.Run(f.q.dag, f.inputs);
-  auto run_d = distme.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> run_f_compiled = fuseme.Compile(f.q.dag);
+  ASSERT_TRUE(run_f_compiled.ok()) << run_f_compiled.status();
+  auto run_f = fuseme.Execute(*run_f_compiled, f.inputs);
+  Result<CompiledPlan> run_d_compiled = distme.Compile(f.q.dag);
+  ASSERT_TRUE(run_d_compiled.ok()) << run_d_compiled.status();
+  auto run_d = distme.Execute(*run_d_compiled, f.inputs);
   ASSERT_TRUE(run_f.report.ok());
   ASSERT_TRUE(run_d.report.ok());
   EXPECT_LT(run_f.report.stages.size(), run_d.report.stages.size());
@@ -113,9 +121,13 @@ TEST(EngineTest, MissingInputReported) {
   std::map<NodeId, BlockedMatrix> partial = f.inputs;
   partial.erase(f.q.U);
   Engine engine(Options(SystemMode::kFuseMe));
-  auto run = engine.Run(f.q.dag, partial);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, partial);
   EXPECT_TRUE(run.report.status.IsInvalidArgument());
   EXPECT_TRUE(run.outputs.empty());
+  EXPECT_TRUE(run.report.stages.empty())
+      << "a missing leaf is refused before any stage runs";
 }
 
 TEST(EngineTest, TimeoutSurfacesAsTo) {
@@ -123,7 +135,9 @@ TEST(EngineTest, TimeoutSurfacesAsTo) {
   EngineOptions options = Options(SystemMode::kFuseMe);
   options.cluster.timeout_seconds = 1e-9;
   Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, f.inputs);
   EXPECT_TRUE(run.report.status.IsTimedOut());
   EXPECT_NE(run.report.Summary().find("T.O."), std::string::npos);
 }
@@ -133,7 +147,9 @@ TEST(EngineTest, OomSurfacesFromTinyBudget) {
   EngineOptions options = Options(SystemMode::kMatFast);
   options.cluster.task_memory_budget = 128;  // nothing fits
   Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, f.inputs);
   EXPECT_TRUE(run.report.status.IsOutOfMemory());
   EXPECT_NE(run.report.Summary().find("O.O.M."), std::string::npos);
 }
@@ -175,7 +191,9 @@ TEST(EngineTest, ForcedOperatorsAgreeNumerically) {
 TEST(EngineTest, ReportSummaryReadsWell) {
   GnmfFixture f;
   Engine engine(Options(SystemMode::kFuseMe));
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, f.inputs);
   ASSERT_TRUE(run.report.ok());
   std::string summary = run.report.Summary();
   EXPECT_NE(summary.find("shuffled"), std::string::npos);

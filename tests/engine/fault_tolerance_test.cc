@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -66,7 +67,9 @@ std::int64_t ExpectedRetries(const FaultInjector& injector, int stage,
 TEST(FaultToleranceTest, CleanRunsReportNoRecovery) {
   GnmfFixture f;
   Engine engine(Options(SystemMode::kFuseMe));
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, f.inputs);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_GT(run.report.attempts, 0);  // first tries are counted
   EXPECT_EQ(run.report.total_retries(), 0);
@@ -78,7 +81,9 @@ TEST(FaultToleranceTest, CleanRunsReportNoRecovery) {
 TEST(FaultToleranceTest, FailureScheduleSweepIsBitwiseIdentical) {
   GnmfFixture f;
   Engine clean_engine(Options(SystemMode::kFuseMe));
-  auto clean = clean_engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> clean_compiled = clean_engine.Compile(f.q.dag);
+  ASSERT_TRUE(clean_compiled.ok()) << clean_compiled.status();
+  auto clean = clean_engine.Execute(*clean_compiled, f.inputs);
   ASSERT_TRUE(clean.ok()) << clean.status();
 
   constexpr int kMaxAttempts = 8;
@@ -92,7 +97,9 @@ TEST(FaultToleranceTest, FailureScheduleSweepIsBitwiseIdentical) {
       options.recovery.retry.max_attempts = kMaxAttempts;
       Result<Engine> engine = Engine::Create(options);
       ASSERT_TRUE(engine.ok()) << engine.status();
-      auto faulted = engine->Run(f.q.dag, f.inputs);
+      Result<CompiledPlan> faulted_compiled = engine->Compile(f.q.dag);
+      ASSERT_TRUE(faulted_compiled.ok()) << faulted_compiled.status();
+      auto faulted = engine->Execute(*faulted_compiled, f.inputs);
       ASSERT_TRUE(faulted.ok()) << faulted.status();
 
       // Numeric results are bitwise identical to the clean run's.
@@ -154,7 +161,9 @@ TEST(FaultToleranceTest, ExhaustedAttemptBudgetFailsTheRun) {
   options.faults.task_failure_probability = 1.0;  // every attempt dies
   options.recovery.retry.max_attempts = 2;
   Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, f.inputs);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInternal);
   EXPECT_NE(run.status().message().find("attempt budget"),
@@ -184,8 +193,14 @@ TEST(FaultToleranceTest, OomDegradationCompletesRealWorkload) {
   // Find a budget the broadcast operator exceeds but the cuboid operator
   // (measured peak and modeled MemEst alike) fits with room to spare.
   Engine roomy(Options(SystemMode::kFuseMe));
-  auto bfo_probe = roomy.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
-  auto cfo_probe = roomy.RunWithPlans(q.dag, full, inputs, OperatorKind::kCfo);
+  Result<CompiledPlan> bfo_probe_compiled =
+      roomy.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(bfo_probe_compiled.ok()) << bfo_probe_compiled.status();
+  auto bfo_probe = roomy.Execute(*bfo_probe_compiled, inputs);
+  Result<CompiledPlan> cfo_probe_compiled =
+      roomy.CompileWithPlans(q.dag, full, OperatorKind::kCfo);
+  ASSERT_TRUE(cfo_probe_compiled.ok()) << cfo_probe_compiled.status();
+  auto cfo_probe = roomy.Execute(*cfo_probe_compiled, inputs);
   ASSERT_TRUE(bfo_probe.ok()) << bfo_probe.status();
   ASSERT_TRUE(cfo_probe.ok()) << cfo_probe.status();
   auto cfo_pred = roomy.PredictStage(full.plans.front(), OperatorKind::kCfo);
@@ -202,15 +217,20 @@ TEST(FaultToleranceTest, OomDegradationCompletesRealWorkload) {
   EngineOptions squeezed = Options(SystemMode::kFuseMe);
   squeezed.cluster.task_memory_budget = budget;
   Engine strict(squeezed);
-  auto failed = strict.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
+  Result<CompiledPlan> failed_compiled =
+      strict.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(failed_compiled.ok()) << failed_compiled.status();
+  auto failed = strict.Execute(*failed_compiled, inputs);
   ASSERT_TRUE(failed.status().IsOutOfMemory()) << failed.status();
 
   // With the ladder enabled the same forced-BFO cell completes — and the
   // numbers still match the single-node reference.
   squeezed.recovery.degrade_on_oom = true;
   Engine degrading(squeezed);
-  auto recovered =
-      degrading.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
+  Result<CompiledPlan> recovered_compiled =
+      degrading.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(recovered_compiled.ok()) << recovered_compiled.status();
+  auto recovered = degrading.Execute(*recovered_compiled, inputs);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ASSERT_FALSE(recovered.report.degradations.empty());
   EXPECT_NE(recovered.report.degradations.front().from.find("BFO"),
@@ -233,12 +253,18 @@ TEST(FaultToleranceTest, OomDegradationCompletesPaperScaleBfo) {
   EngineOptions options;
   options.analytic = true;
   Engine strict(options);
-  auto failed = strict.RunWithPlans(q.dag, full, {}, OperatorKind::kBfo);
+  Result<CompiledPlan> failed_compiled =
+      strict.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(failed_compiled.ok()) << failed_compiled.status();
+  auto failed = strict.Execute(*failed_compiled, {});
   ASSERT_TRUE(failed.status().IsOutOfMemory()) << failed.status();
 
   options.recovery.degrade_on_oom = true;
   Engine degrading(options);
-  auto recovered = degrading.RunWithPlans(q.dag, full, {}, OperatorKind::kBfo);
+  Result<CompiledPlan> recovered_compiled =
+      degrading.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(recovered_compiled.ok()) << recovered_compiled.status();
+  auto recovered = degrading.Execute(*recovered_compiled, {});
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ASSERT_FALSE(recovered.report.degradations.empty());
   EXPECT_NE(recovered.report.degradations.front().from.find("BFO"),
@@ -264,7 +290,10 @@ TEST(FaultToleranceTest, InjectedOomConsumedOnceAndDegraded) {
 
   // Without the ladder, the injected OOM is terminal — the paper's cell.
   Engine strict(options);
-  auto failed = strict.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
+  Result<CompiledPlan> failed_compiled =
+      strict.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(failed_compiled.ok()) << failed_compiled.status();
+  auto failed = strict.Execute(*failed_compiled, inputs);
   ASSERT_TRUE(failed.status().IsOutOfMemory()) << failed.status();
   EXPECT_NE(failed.status().message().find("injected"), std::string::npos);
 
@@ -272,8 +301,10 @@ TEST(FaultToleranceTest, InjectedOomConsumedOnceAndDegraded) {
   // injection fires only on the stage's first attempt.
   options.recovery.degrade_on_oom = true;
   Engine degrading(options);
-  auto recovered =
-      degrading.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
+  Result<CompiledPlan> recovered_compiled =
+      degrading.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+  ASSERT_TRUE(recovered_compiled.ok()) << recovered_compiled.status();
+  auto recovered = degrading.Execute(*recovered_compiled, inputs);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ASSERT_FALSE(recovered.report.telemetry.empty());
   EXPECT_EQ(recovered.report.telemetry.front().recovery.injected_oom, 1);
@@ -291,7 +322,9 @@ TEST(FaultToleranceTest, StragglersExtendElapsedAndSpeculationCuts) {
   // riding out a 100x straggler, so speculation must win every time.
   base.cluster.task_launch_overhead = 0.0;
   Engine clean_engine(base);
-  auto clean = clean_engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = clean_engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto clean = clean_engine.Execute(*compiled, f.inputs);
   ASSERT_TRUE(clean.ok()) << clean.status();
 
   EngineOptions straggling = base;
@@ -302,8 +335,14 @@ TEST(FaultToleranceTest, StragglersExtendElapsedAndSpeculationCuts) {
   EngineOptions no_speculation = straggling;
   no_speculation.recovery.speculative_execution = false;
 
-  auto speculated = Engine(straggling).Run(f.q.dag, f.inputs);
-  auto rode_out = Engine(no_speculation).Run(f.q.dag, f.inputs);
+  Engine speculating(straggling);
+  Result<CompiledPlan> speculated_compiled = speculating.Compile(f.q.dag);
+  ASSERT_TRUE(speculated_compiled.ok()) << speculated_compiled.status();
+  auto speculated = speculating.Execute(*speculated_compiled, f.inputs);
+  Engine riding_out(no_speculation);
+  Result<CompiledPlan> rode_out_compiled = riding_out.Compile(f.q.dag);
+  ASSERT_TRUE(rode_out_compiled.ok()) << rode_out_compiled.status();
+  auto rode_out = riding_out.Execute(*rode_out_compiled, f.inputs);
   ASSERT_TRUE(speculated.ok()) << speculated.status();
   ASSERT_TRUE(rode_out.ok()) << rode_out.status();
 
@@ -335,11 +374,15 @@ TEST(FaultToleranceTest, BackoffTripsTheRunDeadlineDeterministically) {
   options.recovery.retry.backoff_max_seconds = 3600.0;
   options.cluster.timeout_seconds = 1800.0;
   Engine engine(options);
-  auto first = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> first_compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(first_compiled.ok()) << first_compiled.status();
+  auto first = engine.Execute(*first_compiled, f.inputs);
   ASSERT_TRUE(first.status().IsTimedOut()) << first.status();
   EXPECT_NE(first.Summary().find("T.O."), std::string::npos);
   // Deterministic: the same schedule trips at the same point every run.
-  auto second = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> second_compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(second_compiled.ok()) << second_compiled.status();
+  auto second = engine.Execute(*second_compiled, f.inputs);
   EXPECT_TRUE(second.status().IsTimedOut());
   EXPECT_EQ(first.report.elapsed_seconds, second.report.elapsed_seconds);
   EXPECT_EQ(first.report.total_retries(), second.report.total_retries());
@@ -354,7 +397,9 @@ TEST(FaultToleranceTest, TracerRecordsFaultSpans) {
   options.recovery.retry.max_attempts = 8;
   options.tracer = &tracer;
   Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, f.inputs);
   ASSERT_TRUE(run.ok()) << run.status();
   ASSERT_GT(run.report.total_retries(), 0);
 
@@ -374,7 +419,9 @@ TEST(FaultToleranceTest, MetricsCountRecovery) {
   options.recovery.retry.max_attempts = 8;
   options.metrics = &metrics;
   Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, f.inputs);
   ASSERT_TRUE(run.ok()) << run.status();
   ASSERT_GT(run.report.total_retries(), 0);
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
 #include "telemetry/event_journal.h"
@@ -270,7 +271,9 @@ TEST(OptionsValidationTest, RunResultPassthroughsMirrorReport) {
 
   Result<Engine> engine = Engine::Create(SmallValid());
   ASSERT_TRUE(engine.ok());
-  Engine::RunResult run = engine->Run(q.dag, inputs);
+  Result<CompiledPlan> compiled = engine->Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  Engine::RunResult run = engine->Execute(*compiled, inputs);
   EXPECT_EQ(run.ok(), run.report.ok());
   EXPECT_EQ(run.status().code(), run.report.status.code());
   EXPECT_EQ(run.Summary(), run.report.Summary());
@@ -286,16 +289,20 @@ TEST(OptionsValidationTest, PlanDescriptionPopulatedOnBothPaths) {
     return o;
   }());
 
-  // Run(): the planner's own description.
-  auto planned = engine.Run(q.dag, {});
+  // Compile(): the planner's own description.
+  Result<CompiledPlan> planned_compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(planned_compiled.ok()) << planned_compiled.status();
+  auto planned = engine.Execute(*planned_compiled, {});
   ASSERT_TRUE(planned.ok()) << planned.status();
   EXPECT_FALSE(planned.report.plan_description.empty());
 
-  // RunWithPlans() with a caller-assembled set and no description: the
-  // engine synthesizes one instead of leaving the field empty.
-  FusionPlanSet set = engine.MakePlans(q.dag);
+  // CompileWithPlans() with a caller-assembled set and no description:
+  // the engine synthesizes one instead of leaving the field empty.
+  FusionPlanSet set = planned_compiled->plans();
   set.description.clear();
-  auto supplied = engine.RunWithPlans(q.dag, set, {});
+  Result<CompiledPlan> supplied_compiled = engine.CompileWithPlans(q.dag, set);
+  ASSERT_TRUE(supplied_compiled.ok()) << supplied_compiled.status();
+  auto supplied = engine.Execute(*supplied_compiled, {});
   ASSERT_TRUE(supplied.ok()) << supplied.status();
   EXPECT_NE(supplied.report.plan_description.find("caller-supplied"),
             std::string::npos);

@@ -103,8 +103,12 @@ TEST_F(ParallelDeterminismTest, GnmfIterationAllSystems) {
     SCOPED_TRACE(std::string(SystemModeName(mode)));
     Engine serial(Options(/*local_threads=*/1, mode));
     Engine parallel(Options(/*local_threads=*/8, mode));
-    ExpectIdenticalRuns(serial.Run(f.q.dag, f.inputs),
-                        parallel.Run(f.q.dag, f.inputs));
+    Result<CompiledPlan> serial_compiled = serial.Compile(f.q.dag);
+    Result<CompiledPlan> parallel_compiled = parallel.Compile(f.q.dag);
+    ASSERT_TRUE(serial_compiled.ok()) << serial_compiled.status();
+    ASSERT_TRUE(parallel_compiled.ok()) << parallel_compiled.status();
+    ExpectIdenticalRuns(serial.Execute(*serial_compiled, f.inputs),
+                        parallel.Execute(*parallel_compiled, f.inputs));
   }
 }
 
@@ -113,8 +117,12 @@ TEST_F(ParallelDeterminismTest, DefaultThreadsMatchesSerial) {
   GnmfFixture f;
   Engine serial(Options(/*local_threads=*/1));
   Engine defaulted(Options(/*local_threads=*/0));
-  ExpectIdenticalRuns(serial.Run(f.q.dag, f.inputs),
-                      defaulted.Run(f.q.dag, f.inputs));
+  Result<CompiledPlan> serial_compiled = serial.Compile(f.q.dag);
+  Result<CompiledPlan> defaulted_compiled = defaulted.Compile(f.q.dag);
+  ASSERT_TRUE(serial_compiled.ok()) << serial_compiled.status();
+  ASSERT_TRUE(defaulted_compiled.ok()) << defaulted_compiled.status();
+  ExpectIdenticalRuns(serial.Execute(*serial_compiled, f.inputs),
+                      defaulted.Execute(*defaulted_compiled, f.inputs));
 }
 
 TEST_F(ParallelDeterminismTest, ForcedOperatorsOnFusedNmfPlan) {
@@ -155,8 +163,12 @@ TEST_F(ParallelDeterminismTest, SkewBalancedSplitsStayDeterministic) {
   parallel_opts.balance_sparsity = true;
   Engine serial(serial_opts);
   Engine parallel(parallel_opts);
-  ExpectIdenticalRuns(serial.Run(f.q.dag, f.inputs),
-                      parallel.Run(f.q.dag, f.inputs));
+  Result<CompiledPlan> serial_compiled = serial.Compile(f.q.dag);
+  Result<CompiledPlan> parallel_compiled = parallel.Compile(f.q.dag);
+  ASSERT_TRUE(serial_compiled.ok()) << serial_compiled.status();
+  ASSERT_TRUE(parallel_compiled.ok()) << parallel_compiled.status();
+  ExpectIdenticalRuns(serial.Execute(*serial_compiled, f.inputs),
+                      parallel.Execute(*parallel_compiled, f.inputs));
 }
 
 }  // namespace

@@ -111,13 +111,17 @@ struct GnmfFixture {
 TEST_F(PrefetchDeterminismTest, GnmfSweepOverDepthsAndThreads) {
   GnmfFixture f;
   Engine baseline(Options(/*local_threads=*/1, /*prefetch_depth=*/0));
-  const Engine::RunResult base = baseline.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> base_compiled = baseline.Compile(f.q.dag);
+  ASSERT_TRUE(base_compiled.ok()) << base_compiled.status();
+  const Engine::RunResult base = baseline.Execute(*base_compiled, f.inputs);
   for (int depth : {1, 2, 8}) {
     for (int threads : {1, 4, 8}) {
       SCOPED_TRACE("depth " + std::to_string(depth) + " threads " +
                    std::to_string(threads));
       Engine engine(Options(threads, depth));
-      ExpectIdenticalRuns(base, engine.Run(f.q.dag, f.inputs));
+      Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+      ASSERT_TRUE(compiled.ok()) << compiled.status();
+      ExpectIdenticalRuns(base, engine.Execute(*compiled, f.inputs));
     }
   }
 }
@@ -169,7 +173,9 @@ TEST_F(PrefetchDeterminismTest, FaultScheduleReplaysInFlightPrefetches) {
     base_opts.recovery.retry.max_attempts = 5;
     base_opts.recovery.retry.backoff_base_seconds = 0.0;
     Engine baseline(base_opts);
-    const Engine::RunResult base = baseline.Run(f.q.dag, f.inputs);
+    Result<CompiledPlan> base_compiled = baseline.Compile(f.q.dag);
+    ASSERT_TRUE(base_compiled.ok()) << base_compiled.status();
+    const Engine::RunResult base = baseline.Execute(*base_compiled, f.inputs);
     ASSERT_TRUE(base.report.ok()) << base.report.status;
     for (int depth : {1, 2, 8}) {
       for (int threads : {1, 8}) {
@@ -179,7 +185,9 @@ TEST_F(PrefetchDeterminismTest, FaultScheduleReplaysInFlightPrefetches) {
         opts.faults = base_opts.faults;
         opts.recovery = base_opts.recovery;
         Engine engine(opts);
-        ExpectIdenticalRuns(base, engine.Run(f.q.dag, f.inputs));
+        Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+        ASSERT_TRUE(compiled.ok()) << compiled.status();
+        ExpectIdenticalRuns(base, engine.Execute(*compiled, f.inputs));
       }
     }
   }
@@ -194,8 +202,13 @@ TEST_F(PrefetchDeterminismTest, ElapsedSecondsSetOnBothExecutionPaths) {
   analytic_opts.analytic = true;
   Engine real_engine(real_opts);
   Engine analytic_engine(analytic_opts);
-  const Engine::RunResult real = real_engine.Run(f.q.dag, f.inputs);
-  const Engine::RunResult analytic = analytic_engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> real_compiled = real_engine.Compile(f.q.dag);
+  ASSERT_TRUE(real_compiled.ok()) << real_compiled.status();
+  const Engine::RunResult real = real_engine.Execute(*real_compiled, f.inputs);
+  Result<CompiledPlan> analytic_compiled = analytic_engine.Compile(f.q.dag);
+  ASSERT_TRUE(analytic_compiled.ok()) << analytic_compiled.status();
+  const Engine::RunResult analytic =
+      analytic_engine.Execute(*analytic_compiled, f.inputs);
   ASSERT_TRUE(real.report.ok()) << real.report.status;
   ASSERT_TRUE(analytic.report.ok()) << analytic.report.status;
   for (const Engine::RunResult* run : {&real, &analytic}) {
@@ -213,7 +226,9 @@ TEST_F(PrefetchDeterminismTest, PipelineTelemetryRecordsPrefetchActivity) {
   // folded into StageStats.
   GnmfFixture f;
   Engine engine(Options(/*local_threads=*/4, /*prefetch_depth=*/2));
-  const Engine::RunResult run = engine.Run(f.q.dag, f.inputs);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const Engine::RunResult run = engine.Execute(*compiled, f.inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   std::int64_t consumed = 0;
   for (const StageTelemetry& t : run.report.telemetry) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "matrix/generators.h"
-#include "matrix/sparsity.h"
 
 namespace fuseme {
 namespace {
@@ -112,24 +111,6 @@ TEST(EwiseBinaryTest, MulFlopsProportionalToSparseNnz) {
   std::int64_t flops = 0;
   ASSERT_TRUE(EwiseBinary(BinaryFn::kMul, sparse, dense, &flops).ok());
   EXPECT_EQ(flops, sparse.nnz());  // sparsity exploitation at block level
-}
-
-TEST(EwiseBinaryTest, MetaPropagatesEstimate) {
-  Block a = Block::Meta(100, 100, 1000);
-  Block b = Block::Meta(100, 100, 2000);
-  auto result = EwiseBinary(BinaryFn::kMul, a, b);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->is_meta());
-  EXPECT_EQ(result->nnz(),
-            EstimateEwiseBinaryNnz(BinaryFn::kMul, 100, 100, 1000, 2000));
-}
-
-TEST(EwiseBinaryTest, MetaMixedWithRealStaysMeta) {
-  Block a = Block::Meta(10, 10, 50);
-  Block b = Block::FromDense(RandomDense(10, 10, 1));
-  auto result = EwiseBinary(BinaryFn::kAdd, a, b);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->is_meta());
 }
 
 class EwiseScalarTest
@@ -250,19 +231,6 @@ TEST(MatMulTest, SparseFlopsScaleWithNnz) {
   EXPECT_EQ(flops, 2 * a.nnz() * 10);
 }
 
-TEST(MatMulTest, MetaProducesEstimatedDescriptor) {
-  Block a = Block::Meta(100, 50, 500);
-  Block b = Block::Meta(50, 80, 4000);  // dense
-  std::int64_t flops = 0;
-  auto result = MatMul(a, b, &flops);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->is_meta());
-  EXPECT_EQ(result->rows(), 100);
-  EXPECT_EQ(result->cols(), 80);
-  EXPECT_EQ(result->nnz(), EstimateMatMulNnz(100, 50, 80, 500, 4000));
-  EXPECT_EQ(flops, EstimateMatMulFlops(100, 50, 80, 500, 4000));
-}
-
 TEST(MatMulAccTest, AccumulatesAcrossCalls) {
   DenseMatrix acc(3, 3);
   Block a = Block::FromDense(RandomDense(3, 2, 41, 1.0, 2.0));
@@ -276,22 +244,6 @@ TEST(MatMulAccTest, AccumulatesAcrossCalls) {
     twice.data()[i] *= 2.0;
   }
   EXPECT_LE(DenseMatrix::MaxAbsDiff(acc, twice), 1e-10);
-}
-
-TEST(MatMulAccTest, MetaBlocksAreInvalidArgument) {
-  // Meta blocks are analytic descriptors with no values; accumulating them
-  // is a caller bug, not an engine failure.
-  DenseMatrix acc(3, 5);
-  Block a = Block::Meta(3, 4, 6);
-  Block b = Block::Meta(4, 5, 10);
-  Status st = MatMulAcc(&acc, a, b);
-  EXPECT_TRUE(st.IsInvalidArgument()) << st;
-  EXPECT_NE(st.message().find("3x4"), std::string::npos) << st;
-  EXPECT_NE(st.message().find("4x5"), std::string::npos) << st;
-
-  // Mixed meta x real is just as invalid.
-  Block real = Block::FromDense(RandomDense(4, 5, 7, 1.0, 2.0));
-  EXPECT_TRUE(MatMulAcc(&acc, a, real).IsInvalidArgument());
 }
 
 TEST(MatMulAccTest, InnerDimMismatchIsInvalidArgument) {
@@ -345,12 +297,30 @@ INSTANTIATE_TEST_SUITE_P(AllReprs, TransposeAllReprs,
                          ::testing::Values(Repr::kZero, Repr::kDense,
                                            Repr::kSparse));
 
-TEST(TransposeTest, MetaSwapsDims) {
-  auto result = Transpose(Block::Meta(30, 20, 77));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->rows(), 20);
-  EXPECT_EQ(result->cols(), 30);
-  EXPECT_EQ(result->nnz(), 77);
+TEST(TransposeTest, FlopsCountStoredEntries) {
+  // A zero block moves nothing, a dense one every cell, a sparse one only
+  // its stored entries.
+  const SparseMatrix s = RandomSparse(6, 9, 0.2, 57, 1.0, 2.0);
+  std::int64_t flops = 0;
+  auto zero = Transpose(Block::Zero(6, 9), &flops);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_TRUE(zero->is_zero());
+  EXPECT_EQ(zero->rows(), 9);
+  EXPECT_EQ(zero->cols(), 6);
+  EXPECT_EQ(flops, 0);
+
+  auto dense = Transpose(Block::FromDense(s.ToDense()), &flops);
+  ASSERT_TRUE(dense.ok());
+  EXPECT_EQ(dense->kind(), Block::Kind::kDense);
+  EXPECT_EQ(flops, 6 * 9);
+
+  flops = 0;
+  auto sparse = Transpose(Block::FromSparse(s), &flops);
+  ASSERT_TRUE(sparse.ok());
+  EXPECT_EQ(sparse->kind(), Block::Kind::kSparse);
+  EXPECT_EQ(sparse->nnz(), s.nnz());
+  EXPECT_EQ(flops, s.nnz());
+  EXPECT_TRUE(sparse->ToDense() == dense->ToDense());
 }
 
 class AggAllReprs

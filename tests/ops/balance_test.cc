@@ -8,6 +8,7 @@
 
 #include "engine/reference.h"
 #include "matrix/generators.h"
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "ops/fused_operator.h"
 #include "workloads/queries.h"
@@ -151,7 +152,9 @@ TEST(BalanceTest, EngineOptionPlumbsThrough) {
   options.cluster = TestCluster();
   options.balance_sparsity = true;
   Engine engine(options);
-  auto run = engine.Run(q.dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_LE(DenseMatrix::MaxAbsDiff(
                 run.outputs.at(q.mul).blocks().ToDense(), *expected),

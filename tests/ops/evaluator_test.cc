@@ -107,6 +107,49 @@ TEST(KernelEvaluatorTest, SparseDriverPathMatchesBlockPath) {
   EXPECT_LT(with_driver.flops(), without.flops() / 2);
 }
 
+TEST(KernelEvaluatorTest, TransposedSparseLhsFeedsSpmmDirectly) {
+  // t(X) %*% U with sparse X: the matmul reads X's untransposed blocks
+  // straight into the transpose-SpMM kernel instead of materializing the
+  // transpose, so its GEMM work scales with nnz(X), not with X's cells.
+  const std::int64_t i = 20, j = 18, k = 6;
+  const SparseMatrix x = RandomSparse(i, j, 0.1, /*seed=*/11, 1.0, 2.0);
+  const DenseMatrix u = RandomDense(i, k, /*seed=*/12, 0.5, 1.5);
+  Dag dag;
+  const NodeId xid = *dag.AddInput("X", i, j, x.nnz());
+  const NodeId uid = *dag.AddInput("U", i, k);
+  const NodeId t = *dag.AddTranspose(xid);
+  const NodeId mm = *dag.AddMatMul(t, uid);
+  dag.MarkOutput(mm);
+  auto ref = ReferenceEval(dag, mm, {{xid, x.ToDense()}, {uid, u}});
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  PartialPlan plan(&dag, {t, mm}, mm);
+
+  std::map<NodeId, BlockedMatrix> sparse_x = {
+      {xid, BlockedMatrix::FromSparse(x, kBs)},
+      {uid, BlockedMatrix::FromDense(u, kBs)}};
+  std::map<NodeId, BlockedMatrix> dense_x = {
+      {xid, BlockedMatrix::FromDense(x.ToDense(), kBs)},
+      {uid, BlockedMatrix::FromDense(u, kBs)}};
+  KernelEvaluator fused(&plan, kBs, MapFetcher(&sparse_x));
+  KernelEvaluator dense(&plan, kBs, MapFetcher(&dense_x));
+  const NodeGrid grid = fused.Grid(mm);
+  for (std::int64_t bi = 0; bi < grid.grid_rows(); ++bi) {
+    for (std::int64_t bj = 0; bj < grid.grid_cols(); ++bj) {
+      auto a = fused.Eval(mm, bi, bj);
+      auto b = dense.Eval(mm, bi, bj);
+      ASSERT_TRUE(a.ok()) << a.status();
+      ASSERT_TRUE(b.ok()) << b.status();
+      const DenseMatrix expected = TileOf(*ref, bi, bj, kBs);
+      EXPECT_LE(DenseMatrix::MaxAbsDiff(a->ToDense(), expected), 1e-9)
+          << "block " << bi << "," << bj;
+      EXPECT_LE(DenseMatrix::MaxAbsDiff(b->ToDense(), expected), 1e-9)
+          << "block " << bi << "," << bj;
+    }
+  }
+  EXPECT_GT(fused.gemm_flops(), 0);
+  EXPECT_LT(fused.gemm_flops(), dense.gemm_flops() / 2);
+}
+
 TEST(KernelEvaluatorTest, KRestrictedPartialsSumToFull) {
   NmfFixture f(16, 16, 20, /*x_density=*/1.0);  // K spans 3 blocks
   PartialPlan plan = f.Plan();
@@ -200,20 +243,6 @@ TEST(KernelEvaluatorTest, FetcherErrorsPropagate) {
   });
   auto result = eval.Eval(f.q.mul, 0, 0);
   EXPECT_TRUE(result.status().IsOutOfMemory());
-}
-
-TEST(KernelEvaluatorTest, MetaInputsProduceMetaOutputs) {
-  NmfPattern q = BuildNmfPattern(32, 32, 8, 100);
-  PartialPlan plan(&q.dag, {q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
-  std::map<NodeId, BlockedMatrix> data;
-  data[q.X] = BlockedMatrix::MakeMeta(32, 32, 100, kBs);
-  data[q.U] = BlockedMatrix::MakeMeta(32, 8, 32 * 8, kBs);
-  data[q.V] = BlockedMatrix::MakeMeta(32, 8, 32 * 8, kBs);
-  KernelEvaluator eval(&plan, kBs, MapFetcher(&data));
-  auto block = eval.Eval(q.mul, 0, 0);
-  ASSERT_TRUE(block.ok()) << block.status();
-  EXPECT_TRUE(block->is_meta());
-  EXPECT_GT(eval.flops(), 0);
 }
 
 TEST(KernelEvaluatorTest, PcaRowFusionPattern) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/http_server.h"
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
 #include "telemetry/event_journal.h"
@@ -135,7 +136,10 @@ TEST(HttpExporterTest, ServesWhileEngineRuns) {
   std::atomic<bool> done{false};
   std::thread runner([&] {
     for (int i = 0; i < 3; ++i) {
-      Engine::RunResult run = engine->Run(q.dag, inputs);
+      Result<CompiledPlan> compiled = engine->Compile(q.dag);
+      EXPECT_TRUE(compiled.ok()) << compiled.status();
+      if (!compiled.ok()) break;  // `done` must still be set below
+      Engine::RunResult run = engine->Execute(*compiled, inputs);
       EXPECT_TRUE(run.report.ok()) << run.report.status;
     }
     done.store(true);

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
 #include "telemetry/metric_names.h"
@@ -283,7 +284,9 @@ TEST(MetricsEngineTest, NullRegistryRunsUntouched) {
   inputs[q.X] = RandomSparseBlocked(64, 64, 0.1, 16, /*seed=*/1, 1.0, 5.0);
   inputs[q.U] = RandomDenseBlocked(16, 64, 16, /*seed=*/2, 0.5, 1.5);
   inputs[q.V] = RandomDenseBlocked(64, 16, 16, /*seed=*/3, 0.5, 1.5);
-  Engine::RunResult run = engine.Run(q.dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  Engine::RunResult run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status.ToString();
   EXPECT_TRUE(bystander.Snapshot().samples.empty());
 }
@@ -296,7 +299,9 @@ TEST(MetricsEngineTest, RealRunPopulatesPipelineFamilies) {
   inputs[q.X] = RandomSparseBlocked(64, 64, 0.1, 16, /*seed=*/1, 1.0, 5.0);
   inputs[q.U] = RandomDenseBlocked(16, 64, 16, /*seed=*/2, 0.5, 1.5);
   inputs[q.V] = RandomDenseBlocked(64, 16, 16, /*seed=*/3, 0.5, 1.5);
-  Engine::RunResult run = engine.Run(q.dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  Engine::RunResult run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status.ToString();
 
   const MetricsSnapshot snap = registry.Snapshot();
@@ -374,7 +379,9 @@ TEST(MetricsEngineTest, WorkloadSweepKeepsRegistryConsistent) {
   std::int64_t last_runs = 0, last_stages = 0;
   int completed = 0;
   for (const Dag& dag : dags) {
-    Engine::RunResult run = engine.Run(dag, {});
+    Result<CompiledPlan> compiled = engine.Compile(dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    Engine::RunResult run = engine.Execute(*compiled, {});
     ASSERT_TRUE(run.report.ok()) << run.report.status.ToString();
     ++completed;
     const MetricsSnapshot snap = registry.Snapshot();

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
 #include "telemetry/tracer.h"
@@ -98,7 +99,9 @@ TEST_P(PredictionAgreementTest, RealChargesTrackPrediction) {
   inputs[q.V] = BlockedMatrix::FromDense(RandomDense(160, 32, 83), 8);
 
   Engine engine(options);
-  auto run = engine.Run(q.dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok())
       << SystemModeName(GetParam()) << ": " << run.report.status;
   ASSERT_FALSE(run.report.telemetry.empty());
@@ -132,7 +135,9 @@ TEST(PredictionTelemetryTest, EveryExecutedStageCarriesAPrediction) {
   options.system = SystemMode::kFuseMe;
   options.analytic = true;
   Engine engine(options);
-  auto run = engine.Run(q.dag, {});
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, {});
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   ASSERT_EQ(run.report.telemetry.size(), run.report.stages.size());
   for (std::size_t i = 0; i < run.report.telemetry.size(); ++i) {
@@ -161,7 +166,9 @@ TEST(PredictionTelemetryTest, EngineRecordsStageSpans) {
   inputs[q.V] = BlockedMatrix::FromDense(RandomDense(160, 32, 83), 8);
 
   Engine engine(options);
-  auto run = engine.Run(q.dag, inputs);
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
 
   std::size_t stage_spans = 0, work_item_spans = 0;

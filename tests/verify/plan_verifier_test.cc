@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "verify/plan_verifier.h"
 #include "workloads/queries.h"
@@ -369,13 +370,17 @@ TEST(EngineVerifyTest, CorruptedDagFailsTheRunWithDiagnostics) {
   options.analytic = true;
   Engine engine(options);
 
-  FusionPlanSet plans = engine.MakePlans(q.dag);
+  Result<CompiledPlan> planned = engine.Compile(q.dag);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  const FusionPlanSet& plans = planned->plans();
   ASSERT_TRUE(plans.diagnostics.empty())
       << FormatDiagnostics(plans.diagnostics);
 
   // Corrupt the inferred shape of the U-side main matmul after planning.
   q.dag.mutable_node_for_test(q.a1)->rows = 12345;
-  auto run = engine.RunWithPlans(q.dag, plans, {});
+  Result<CompiledPlan> compiled = engine.CompileWithPlans(q.dag, plans);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, {});
   EXPECT_EQ(run.report.status.code(), StatusCode::kInternal)
       << run.report.status.ToString();
   EXPECT_FALSE(run.report.verifier_diagnostics.empty());
@@ -392,9 +397,13 @@ TEST(EngineVerifyTest, VerifyOffSkipsTheGate) {
   options.analytic = true;
   options.verify = VerifyLevel::kOff;
   Engine engine(options);
-  FusionPlanSet plans = engine.MakePlans(q.dag);
+  Result<CompiledPlan> planned = engine.Compile(q.dag);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  const FusionPlanSet& plans = planned->plans();
   EXPECT_TRUE(plans.diagnostics.empty());
-  auto run = engine.RunWithPlans(q.dag, plans, {});
+  Result<CompiledPlan> compiled = engine.CompileWithPlans(q.dag, plans);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine.Execute(*compiled, {});
   EXPECT_TRUE(run.report.ok()) << run.report.status.ToString();
   EXPECT_TRUE(run.report.verifier_diagnostics.empty());
 }
@@ -409,7 +418,9 @@ TEST(EngineVerifyTest, ParanoidLevelPassesOnValidQueries) {
     options.analytic = true;
     options.verify = VerifyLevel::kParanoid;
     Engine engine(options);
-    auto run = engine.Run(q.dag, {});
+    Result<CompiledPlan> compiled = engine.Compile(q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto run = engine.Execute(*compiled, {});
     EXPECT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status.ToString();
     EXPECT_TRUE(run.report.verifier_diagnostics.empty())
@@ -422,7 +433,9 @@ TEST(EngineVerifyTest, CfgCandidatesAreVerifiedInMakePlans) {
   EngineOptions options;
   options.analytic = true;
   Engine engine(options);
-  FusionPlanSet plans = engine.MakePlans(q.dag);
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const FusionPlanSet& plans = compiled->plans();
   EXPECT_TRUE(plans.diagnostics.empty())
       << FormatDiagnostics(plans.diagnostics);
   EXPECT_FALSE(plans.plans.empty());

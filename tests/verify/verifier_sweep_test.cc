@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "ir/parser.h"
 #include "verify/plan_verifier.h"
@@ -36,7 +37,9 @@ void SweepDag(const Dag& dag, const std::string& label,
     options.verify = VerifyLevel::kParanoid;
     Engine engine(options);
 
-    FusionPlanSet plans = engine.MakePlans(dag);
+    Result<CompiledPlan> compiled = engine.Compile(dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    const FusionPlanSet& plans = compiled->plans();
     EXPECT_TRUE(plans.diagnostics.empty())
         << label << " / " << SystemModeName(mode) << ": "
         << FormatDiagnostics(plans.diagnostics);
@@ -46,7 +49,7 @@ void SweepDag(const Dag& dag, const std::string& label,
     EXPECT_TRUE(diags.empty()) << label << " / " << SystemModeName(mode)
                                << ": " << FormatDiagnostics(diags);
 
-    auto run = engine.Run(dag, {});
+    auto run = engine.Execute(*compiled, {});
     EXPECT_TRUE(run.report.verifier_diagnostics.empty())
         << label << " / " << SystemModeName(mode) << ": "
         << FormatDiagnostics(run.report.verifier_diagnostics);

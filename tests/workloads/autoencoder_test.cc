@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -78,7 +79,9 @@ TEST(AutoEncoderTest, DistributedExecutionMatchesReference) {
                           SystemMode::kSystemDs}) {
     options.system = mode;
     Engine engine(options);
-    auto run = engine.Run(q.dag, inputs);
+    Result<CompiledPlan> compiled = engine.Compile(q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto run = engine.Execute(*compiled, inputs);
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status;
     for (NodeId out : {q.loss, q.gW1, q.gW2, q.gW3, q.gW4}) {
@@ -100,7 +103,9 @@ TEST(AutoEncoderTest, AnalyticPaperScaleRuns) {
                           SystemMode::kSystemDs}) {
     options.system = mode;
     Engine engine(options);
-    auto run = engine.Run(q.dag, {});
+    Result<CompiledPlan> compiled = engine.Compile(q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto run = engine.Execute(*compiled, {});
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status;
     EXPECT_GT(run.report.elapsed_seconds, 0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -77,7 +78,9 @@ TEST(KlLossTest, AllSystemsAgree) {
        {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kDistMe}) {
     options.system = mode;
     Engine engine(options);
-    auto run = engine.Run(q.dag, inputs);
+    Result<CompiledPlan> compiled = engine.Compile(q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto run = engine.Execute(*compiled, inputs);
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status;
     EXPECT_NEAR(run.outputs.at(q.loss).blocks().ToDense()(0, 0),
