@@ -4,18 +4,23 @@
 // masked (sparsity-exploiting) path vs the dense path.
 //
 // Before the google-benchmark cases, main() runs a serial-vs-parallel GEMM
-// suite (the tiled dense kernel at 1 thread vs the machine's parallelism),
-// verifies the results are bitwise identical, and writes the measurements
-// to BENCH_microkernels.json.
+// suite (the dispatched dense micro-kernel at 1 thread vs the machine's
+// parallelism), verifies the serial result bitwise against a naive triple
+// loop and the parallel one against the serial, exits non-zero on any
+// mismatch, and writes the measurements to BENCH_microkernels.json.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
 #include "matrix/block_ops.h"
+#include "matrix/gemm_kernel.h"
 #include "matrix/generators.h"
 #include "ops/evaluator.h"
 #include "telemetry/metric_names.h"
@@ -150,6 +155,29 @@ double TimeGemmSeconds(const Block& a, const Block& b, Block* out) {
   return best;
 }
 
+// Checks c == a·b bitwise against the naive ascending-k triple loop, so a
+// contraction or accumulation-order change fails on any host.  Rows 0, 7,
+// 14, ... and the last row are checked in every column: 7 is coprime to the
+// micro-kernel's 4-row tile, so each tile row position is covered at a
+// seventh of the naive loop's cost.
+bool MatchesNaiveBitwise(const DenseMatrix& a, const DenseMatrix& b,
+                         const DenseMatrix& c) {
+  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
+  std::vector<double> row(n);
+  for (std::int64_t i = 0; i < m; ++i) {
+    if (i % 7 != 0 && i != m - 1) continue;
+    std::fill(row.begin(), row.end(), 0.0);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const double va = a(i, kk);
+      for (std::int64_t j = 0; j < n; ++j) row[j] += va * b(kk, j);
+    }
+    if (std::memcmp(row.data(), c.row(i), n * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void RunGemmSpeedupSuite(std::vector<bench::BenchRecord>* records,
                          MetricsRegistry* metrics) {
   // FUSEME_BENCH_GEMM_N overrides the block size (quick local runs).
@@ -158,8 +186,10 @@ void RunGemmSpeedupSuite(std::vector<bench::BenchRecord>* records,
     n = std::max<std::int64_t>(1, std::atoll(env));
   }
   const int machine = GlobalParallelism();
-  std::printf("--- dense %lldx%lld block GEMM, 1 thread vs %d ---\n",
-              static_cast<long long>(n), static_cast<long long>(n), machine);
+  const char* isa = DispatchedGemmKernel().name;
+  std::printf(
+      "--- dense %lldx%lld block GEMM (%s kernel), 1 thread vs %d ---\n",
+      static_cast<long long>(n), static_cast<long long>(n), isa, machine);
 
   Block a = Block::FromDense(RandomDense(n, n, 1, -1.0, 1.0));
   Block b = Block::FromDense(RandomDense(n, n, 2, -1.0, 1.0));
@@ -172,6 +202,11 @@ void RunGemmSpeedupSuite(std::vector<bench::BenchRecord>* records,
   SetGlobalThreadPoolThreads(machine);
   const double parallel = TimeGemmSeconds(a, b, &parallel_out);
 
+  if (!MatchesNaiveBitwise(a.dense(), b.dense(), serial_out.ToDense())) {
+    std::fprintf(stderr,
+                 "FAIL: serial GEMM result differs from the naive loop\n");
+    std::exit(1);
+  }
   if (DenseMatrix::MaxAbsDiff(serial_out.ToDense(), parallel_out.ToDense()) !=
       0.0) {
     std::fprintf(stderr, "FAIL: parallel GEMM result differs from serial\n");
@@ -202,12 +237,14 @@ void RunGemmSpeedupSuite(std::vector<bench::BenchRecord>* records,
 
   const std::string size = std::to_string(n);
   records->push_back({"dense_gemm",
-                      {{"n", size}, {"threads", "1"}},
+                      {{"n", size}, {"threads", "1"}, {"isa", isa}},
                       serial,
                       bytes,
                       flops});
   records->push_back({"dense_gemm",
-                      {{"n", size}, {"threads", std::to_string(machine)}},
+                      {{"n", size},
+                       {"threads", std::to_string(machine)},
+                       {"isa", isa}},
                       parallel,
                       bytes,
                       flops});

@@ -5,9 +5,13 @@
 #include "matrix/block_ops.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "matrix/gemm_kernel.h"
 #include "matrix/generators.h"
 
 namespace fuseme {
@@ -255,32 +259,128 @@ TEST(MatMulAccTest, InnerDimMismatchIsInvalidArgument) {
   EXPECT_NE(st.message().find("2x3"), std::string::npos) << st;
 }
 
-// The dense GEMM is cache-blocked (64-row slabs, 256x256 panels).  Odd
-// shapes that straddle every tile boundary must match the naive triple
-// loop bitwise: the tiling reorders the loop nest but keeps each output
-// element's k-ascending accumulation order.
-TEST(MatMulAccTest, TiledGemmMatchesNaiveBitwise) {
-  const std::int64_t m = 150, k = 300, n = 280;
-  DenseMatrix da = RandomDense(m, k, 71, -1.0, 1.0);
-  DenseMatrix db = RandomDense(k, n, 72, -1.0, 1.0);
-
-  DenseMatrix naive(m, n);
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const double va = da(i, kk);
-      for (std::int64_t j = 0; j < n; ++j) {
-        naive(i, j) += va * db(kk, j);
+// acc += a·b as the plain i/k/j triple loop: the order every GEMM path must
+// reproduce bit for bit.
+void NaiveGemmAcc(DenseMatrix* acc, const DenseMatrix& a,
+                  const DenseMatrix& b) {
+  for (std::int64_t i = 0; i < a.rows(); ++i) {
+    for (std::int64_t kk = 0; kk < a.cols(); ++kk) {
+      const double va = a(i, kk);
+      for (std::int64_t j = 0; j < b.cols(); ++j) {
+        (*acc)(i, j) += va * b(kk, j);
       }
     }
   }
+}
 
+// Compares bit patterns, so -0.0 vs +0.0 and NaN payloads count.
+bool BitwiseEqual(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+// Every micro-kernel instantiation the host can run — not only the one
+// dispatch picks — must match the naive triple loop bitwise on shapes that
+// straddle the 4-row micro-tile, the 2W- and W-column strips, the scalar
+// column tail, the 64-row block and the 256-deep k panel.  A has zero
+// entries (zero terms are multiplied through) and the accumulator starts
+// non-zero.
+TEST(MatMulAccTest, TiledGemmMatchesNaiveBitwise) {
+  struct Shape {
+    std::int64_t m, k, n;
+  };
+  const Shape shapes[] = {{150, 300, 280}, {1, 1, 1},      {3, 5, 17},
+                          {67, 513, 37},   {130, 257, 24}, {5, 260, 9}};
+  for (const GemmKernel& kernel : GemmKernels()) {
+    if (!kernel.supported) continue;
+    for (const Shape& s : shapes) {
+      SCOPED_TRACE(std::string(kernel.name) + " " + std::to_string(s.m) +
+                   "x" + std::to_string(s.k) + "x" + std::to_string(s.n));
+      DenseMatrix da = RandomDense(s.m, s.k, 71, -1.0, 1.0);
+      DenseMatrix db = RandomDense(s.k, s.n, 72, -1.0, 1.0);
+      for (std::int64_t p = 0; p < da.size(); p += 7) da.data()[p] = 0.0;
+      const DenseMatrix init = RandomDense(s.m, s.n, 73, -1.0, 1.0);
+
+      DenseMatrix naive = init;
+      NaiveGemmAcc(&naive, da, db);
+
+      DenseMatrix whole = init;
+      kernel.fn(&whole, da, db, 0, s.m);
+      EXPECT_TRUE(BitwiseEqual(whole, naive));
+
+      // Two row ranges split off-tile must give the same bits.
+      DenseMatrix split = init;
+      const std::int64_t mid = s.m / 3;
+      kernel.fn(&split, da, db, 0, mid);
+      kernel.fn(&split, da, db, mid, s.m);
+      EXPECT_TRUE(BitwiseEqual(split, naive));
+    }
+  }
+  // And MatMulAcc, through the dispatched kernel.
+  const std::int64_t m = 150, k = 300, n = 280;
+  DenseMatrix da = RandomDense(m, k, 71, -1.0, 1.0);
+  DenseMatrix db = RandomDense(k, n, 72, -1.0, 1.0);
+  DenseMatrix naive(m, n);
+  NaiveGemmAcc(&naive, da, db);
   DenseMatrix acc(m, n);
   std::int64_t flops = 0;
   ASSERT_TRUE(
       MatMulAcc(&acc, Block::FromDense(da), Block::FromDense(db), &flops)
           .ok());
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(acc, naive), 0.0);
+  EXPECT_TRUE(BitwiseEqual(acc, naive));
   EXPECT_EQ(flops, 2 * m * k * n);
+}
+
+// Zero entries of A are multiplied through, never skipped: 0·NaN and 0·Inf
+// give NaN, and 0·b added to a -0.0 accumulator flips it to +0.0 when b > 0.
+// Dense×dense must agree bitwise with the naive loop and with the
+// dense×sparse kernel, which has always multiplied zero terms through.
+TEST(MatMulAccTest, ZeroTermsPropagateNonFinite) {
+  const std::int64_t m = 6, k = 9, n = 19;
+  DenseMatrix da = RandomDense(m, k, 81, -1.0, 1.0);
+  DenseMatrix db = RandomDense(k, n, 82, -1.0, 1.0);
+  da(0, 2) = 0.0;
+  da(1, 2) = -0.0;
+  da(2, 4) = 0.0;
+  for (std::int64_t kk = 0; kk < k; ++kk) da(5, kk) = kk % 2 ? -0.0 : 0.0;
+  // At most one non-finite entry per column of B, so each output element
+  // meets a single NaN payload and the result is order-defined.
+  db(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  db(3, 9) = std::numeric_limits<double>::quiet_NaN();
+  db(4, 5) = std::numeric_limits<double>::infinity();
+  db(6, 17) = -std::numeric_limits<double>::infinity();
+  DenseMatrix init(m, n);
+  init.Fill(-0.0);
+
+  DenseMatrix naive = init;
+  NaiveGemmAcc(&naive, da, db);
+  EXPECT_TRUE(std::isnan(naive(0, 1)));  // [0 ...]·[NaN ...]ᵀ
+  EXPECT_TRUE(std::isnan(naive(2, 5)));  // 0·Inf
+  EXPECT_TRUE(std::isnan(naive(5, 5)));
+
+  for (const GemmKernel& kernel : GemmKernels()) {
+    if (!kernel.supported) continue;
+    SCOPED_TRACE(kernel.name);
+    DenseMatrix acc = init;
+    kernel.fn(&acc, da, db, 0, m);
+    EXPECT_TRUE(BitwiseEqual(acc, naive));
+  }
+
+  DenseMatrix dense_dense = init;
+  ASSERT_TRUE(
+      MatMulAcc(&dense_dense, Block::FromDense(da), Block::FromDense(db))
+          .ok());
+  EXPECT_TRUE(BitwiseEqual(dense_dense, naive));
+
+  // Every entry of B is non-zero, so the CSR form stores all of them and
+  // the dense×sparse kernel sees the same terms.
+  const SparseMatrix sb = SparseMatrix::FromDense(db);
+  ASSERT_EQ(sb.nnz(), k * n);
+  DenseMatrix dense_sparse = init;
+  ASSERT_TRUE(
+      MatMulAcc(&dense_sparse, Block::FromDense(da), Block::FromSparse(sb))
+          .ok());
+  EXPECT_TRUE(BitwiseEqual(dense_sparse, naive));
 }
 
 class TransposeAllReprs : public ::testing::TestWithParam<Repr> {};
