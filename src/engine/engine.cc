@@ -34,33 +34,45 @@ const char* RunStatusLabel(const Status& status) {
   return "error";
 }
 
-/// Mirrors a finished stage's accounting into the engine-wide metric
-/// families (telemetry/metric_names.h).  `pred` supplies the MemEst the
-/// stage was admitted under; an actual per-task high-water above it counts
-/// as a memory overrun.
-void RecordStageMetrics(MetricsRegistry* metrics, const StageStats& stats,
-                        double wall_seconds, const StagePrediction& pred) {
-  if (metrics == nullptr) return;
-  metrics->GetCounter(metric_names::kStages)->Increment();
-  metrics->GetCounter(metric_names::kStageTasks)
-      ->Add(std::max<std::int64_t>(stats.num_tasks, 0));
-  metrics
-      ->GetCounter(metric_names::kStageShuffleBytes,
-                   {{"cause", "consolidation"}})
-      ->Add(std::max<std::int64_t>(stats.consolidation_bytes, 0));
-  metrics
-      ->GetCounter(metric_names::kStageShuffleBytes,
-                   {{"cause", "aggregation"}})
-      ->Add(std::max<std::int64_t>(stats.aggregation_bytes, 0));
-  metrics->GetCounter(metric_names::kStageFlops)
-      ->Add(std::max<std::int64_t>(stats.flops, 0));
-  metrics->GetHistogram(metric_names::kStageSeconds, DefaultTimeBoundaries())
-      ->Observe(wall_seconds);
-  metrics->GetGauge(metric_names::kTaskMemoryBytes)
-      ->Set(static_cast<double>(stats.max_task_memory));
-  if (pred.present &&
-      static_cast<double>(stats.max_task_memory) > pred.mem_per_task) {
-    metrics->GetCounter(metric_names::kStageMemoryOverruns)->Increment();
+/// The stage's matrix inputs, bound from `materialized`.  CheckCompatible
+/// saw every real-mode leaf bound; analytic mode synthesizes unbound
+/// leaves as grid-partitioned descriptors (added to `materialized`).
+FusedInputs BindStageInputs(const PartialPlan& plan,
+                            const ClusterConfig& cluster,
+                            std::map<NodeId, DistributedMatrix>* materialized) {
+  const Dag& dag = plan.dag();
+  FusedInputs fin;
+  for (NodeId ext : plan.ExternalInputs()) {
+    const Node& n = dag.node(ext);
+    if (!n.is_matrix()) continue;
+    auto it = materialized->find(ext);
+    if (it == materialized->end()) {
+      BlockedMatrix meta =
+          BlockedMatrix::MakeMeta(n.rows, n.cols, n.nnz, cluster.block_size);
+      it = materialized
+               ->emplace(ext, DistributedMatrix::Create(
+                                  std::move(meta), PartitionScheme::kGrid,
+                                  cluster.total_tasks()))
+               .first;
+    }
+    fin[ext] = &it->second;
+  }
+  return fin;
+}
+
+/// Counts the schedule's stragglers among the stage's first
+/// kStragglerScanCap tasks into `recovery`.
+void ScanStragglers(const FaultInjector& injector, int ordinal,
+                    std::int64_t num_tasks, StageRecovery* recovery) {
+  if (injector.spec().straggler_probability <= 0.0) return;
+  const std::int64_t scan = std::min(num_tasks, kStragglerScanCap);
+  for (std::int64_t t = 0; t < scan; ++t) {
+    const double factor = injector.StragglerFactor(ordinal, t);
+    if (factor > 1.0) {
+      ++recovery->stragglers;
+      recovery->max_straggler_factor =
+          std::max(recovery->max_straggler_factor, factor);
+    }
   }
 }
 
@@ -363,15 +375,6 @@ Result<DistributedMatrix> Engine::RunPlanAnalytic(const PartialPlan& plan,
   const ClusterConfig& cluster = options_.cluster;
   const Node& root = dag.node(plan.root());
 
-  auto make_output = [&]() {
-    BlockedMatrix meta = BlockedMatrix::MakeMeta(
-        root.rows, root.cols, root.nnz, cluster.block_size);
-    // Mirror the real executor's output partitioning so downstream
-    // analytic predictions see the partition counts real mode would.
-    return DistributedMatrix::Create(std::move(meta), PartitionScheme::kGrid,
-                                     std::max(pred.num_tasks, 1));
-  };
-
   // A matmul-bearing stage shuffle-writes its output for downstream
   // stages (wide dependency); element-wise stages hand their output over
   // as a narrow dependency.
@@ -385,38 +388,40 @@ Result<DistributedMatrix> Engine::RunPlanAnalytic(const PartialPlan& plan,
   stats->flops = static_cast<std::int64_t>(pred.flops);
   stats->max_task_memory = static_cast<std::int64_t>(pred.mem_per_task);
 
-  switch (kind) {
-    case OperatorKind::kCfo:
-      // The prediction already models the cell-stage narrow-dependency
-      // consolidation (see PredictStage); nothing more to adjust.
-      return make_output();
-    case OperatorKind::kRfo: {
-      if (pred.mem_per_task >
-          static_cast<double>(cluster.task_memory_budget)) {
-        return Status::OutOfMemory("RFO exceeds the per-task budget on " +
-                                   plan.ToString());
-      }
-      return make_output();
-    }
-    case OperatorKind::kCpmm:
-      return make_output();
-    case OperatorKind::kBfo: {
-      const InputSplit split = SplitPlanInputs(plan);
-      if (pred.mem_per_task >
-          static_cast<double>(cluster.task_memory_budget)) {
-        return Status::OutOfMemory(
-            "BFO broadcast of " +
-            HumanBytes(static_cast<double>(split.side_bytes)) +
-            " side matrices exceeds the per-task budget on " +
-            plan.ToString());
-      }
-      return make_output();
-    }
-    case OperatorKind::kAuto:
-      break;
+  // CFO and cpmm predictions already fit the budget (the cuboid search
+  // only returns feasible cuboids); the broadcast and replication
+  // operators ship their sides whole and can exceed it.
+  if ((kind == OperatorKind::kBfo || kind == OperatorKind::kRfo) &&
+      pred.mem_per_task > static_cast<double>(cluster.task_memory_budget)) {
+    return Status::OutOfMemory(
+        std::string(OperatorKindName(kind)) + " broadcast of " +
+        HumanBytes(static_cast<double>(SplitPlanInputs(plan).side_bytes)) +
+        " side matrices exceeds the per-task budget on " + plan.ToString());
   }
-  return Status::Internal("unresolved operator kind");
+  // Mirror the real executor's output partitioning so downstream analytic
+  // predictions see the partition counts real mode would.
+  return DistributedMatrix::Create(
+      BlockedMatrix::MakeMeta(root.rows, root.cols, root.nnz,
+                              cluster.block_size),
+      PartitionScheme::kGrid, std::max(pred.num_tasks, 1));
 }
+
+struct Engine::StageOutcome {
+  /// The last attempt's prediction and accounting plus the stage's
+  /// recovery totals; becomes one ExecutionReport::telemetry entry.
+  StageTelemetry telemetry;
+  int ordinal = 0;
+  OperatorKind kind = OperatorKind::kAuto;  // what the last attempt ran as
+  /// The last attempt's failure, else the simulator's verdict.
+  Status status;
+  /// Degradation rungs taken, each with its ladder action.
+  std::vector<std::pair<DegradationEvent, std::string>> rungs;
+  /// The attempt the fault schedule killed with an OOM ("" when none).
+  std::string injected_oom_label;
+  std::vector<std::string_view> solvers;  // one per dispatched attempt
+  std::vector<VerifierDiagnostic> diagnostics;  // kParanoid cuboid check
+  std::int64_t span_begin_us = 0;
+};
 
 Engine::RunResult Engine::ExecuteCompiled(
     const CompiledPlan& compiled,
@@ -424,7 +429,8 @@ Engine::RunResult Engine::ExecuteCompiled(
   const Dag& dag = compiled.dag();
   const FusionPlanSet& plans = compiled.plans();
   RunResult out;
-  out.report.plan_description = compiled.description();
+  ExecutionReport& report = out.report;
+  report.plan_description = compiled.description();
   if (options_.tracer != nullptr) options_.tracer->NameCurrentThread("driver");
   if (journal_ != nullptr) {
     journal_->Emit(
@@ -433,6 +439,7 @@ Engine::RunResult Engine::ExecuteCompiled(
          {"mode", options_.analytic ? "analytic" : "real"},
          {"plans", std::to_string(plans.plans.size())}});
   }
+  Simulator sim(options_.cluster);
 
   PlanVerifier verifier(&model_);
   verifier.set_metrics(options_.metrics);
@@ -450,21 +457,12 @@ Engine::RunResult Engine::ExecuteCompiled(
       diags.insert(diags.end(), fresh.begin(), fresh.end());
     }
     if (!diags.empty()) {
-      out.report.status = Status::Internal(
+      report.status = Status::Internal(
           "plan verification failed (" + std::to_string(diags.size()) +
           " diagnostic" + (diags.size() == 1 ? "" : "s") +
           "): " + diags.front().ToString());
-      if (journal_ != nullptr) {
-        for (const VerifierDiagnostic& d : diags) {
-          journal_->Emit(LogLevel::kError, event_names::kVerifierDiagnostic,
-                         {{"rule", d.rule}, {"detail", d.ToString()}});
-        }
-        journal_->Emit(LogLevel::kError, event_names::kRunFinish,
-                       {{"status", RunStatusLabel(out.report.status)},
-                        {"elapsed_seconds", "0"},
-                        {"stages", "0"}});
-      }
-      out.report.verifier_diagnostics = std::move(diags);
+      report.verifier_diagnostics = std::move(diags);
+      FinishRun(sim, &report);
       return out;
     }
   }
@@ -474,20 +472,12 @@ Engine::RunResult Engine::ExecuteCompiled(
   // mismatch means the stages and plan set drifted apart.
   const std::vector<CompiledStage>& stages = compiled.stages();
   if (stages.size() != plans.plans.size()) {
-    out.report.status = Status::Internal(
+    report.status = Status::Internal(
         "compiled plan has " + std::to_string(stages.size()) +
         " stage(s) for " + std::to_string(plans.plans.size()) + " plan(s)");
-    if (journal_ != nullptr) {
-      journal_->Emit(LogLevel::kError, event_names::kRunFinish,
-                     {{"status", RunStatusLabel(out.report.status)},
-                      {"elapsed_seconds", "0"},
-                      {"stages", "0"}});
-    }
+    FinishRun(sim, &report);
     return out;
   }
-
-  const SolverEnv solver_env = MakeSolverEnv();
-  Simulator sim(options_.cluster);
 
   // CheckCompatible admitted only matrix input leaves, so no binding can
   // collide with a stage root materialized below.
@@ -497,357 +487,22 @@ Engine::RunResult Engine::ExecuteCompiled(
         id, DistributedMatrix::Create(m, PartitionScheme::kGrid,
                                       options_.cluster.total_tasks()));
   }
-
-  Status status;
-  const FaultInjector* injector =
-      injector_.has_value() ? &*injector_ : nullptr;
-  int stage_ordinal = -1;
-  for (const PartialPlan& plan : plans.plans) {
-    ++stage_ordinal;
-    // Bind external inputs.  CheckCompatible saw every real-mode leaf
-    // bound; analytic mode synthesizes unbound leaves as descriptors.
-    FusedInputs fin;
-    for (NodeId ext : plan.ExternalInputs()) {
-      const Node& n = dag.node(ext);
-      if (!n.is_matrix()) continue;
-      auto it = materialized.find(ext);
-      if (it == materialized.end()) {
-        BlockedMatrix meta = BlockedMatrix::MakeMeta(
-            n.rows, n.cols, n.nnz, options_.cluster.block_size);
-        it = materialized
-                 .emplace(ext, DistributedMatrix::Create(
-                                   std::move(meta), PartitionScheme::kGrid,
-                                   options_.cluster.total_tasks()))
-                 .first;
-      }
-      fin[ext] = &it->second;
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    StageOutcome outcome = RunStage(stages[i], plans.plans[i],
+                                    static_cast<int>(i), verifier,
+                                    &materialized, &sim);
+    RecordStage(outcome);
+    report.verifier_diagnostics.insert(report.verifier_diagnostics.end(),
+                                       outcome.diagnostics.begin(),
+                                       outcome.diagnostics.end());
+    for (auto& [event, action] : outcome.rungs) {
+      report.degradations.push_back(std::move(event));
     }
-
-    const CompiledStage& stage = stages[stage_ordinal];
-    OperatorKind kind = stage.kind;
-    const StageSolver* solver = SolverRegistry::Global().Find(stage.solver_id);
-    FUSEME_CHECK(solver != nullptr)
-        << "compiled stage references unknown solver " << stage.solver_id;
-    bool first_attempt = true;
-
-    StageTelemetry telemetry;
-    const std::int64_t span_begin =
-        options_.tracer ? options_.tracer->NowMicros() : 0;
-    const auto host_begin = std::chrono::steady_clock::now();
-
-    // Degradation ladder (DESIGN.md section 13): a stage that fails with
-    // OutOfMemory — genuine or injected — retries under a degraded
-    // configuration when recovery allows, instead of failing the run.
-    StageRecovery recovery;
-    bool oom_pending =
-        injector != nullptr && injector->InjectOom(stage_ordinal);
-    double budget_factor = 1.0;
-    int rungs = 0;
-    Result<DistributedMatrix> result = Status::Internal("unset");
-    StageStats stats;
-    std::string label;
-    for (;;) {
-      label = plan.ToString() + " [" +
-              std::string(OperatorKindName(kind)) + "]";
-      telemetry.label = label;
-      telemetry.predicted = StagePrediction{};
-
-      Result<StagePrediction> predr = Status::Internal("unset");
-      if (first_attempt) {
-        // First attempt: replay the compile-time base prediction and fold
-        // in only what the live-bound inputs change — no cuboid search.
-        // Identical to a fresh PredictStage at budget 1 by construction
-        // (PredictBase + RefinePrediction == Predict).
-        first_attempt = false;
-        if (stage.prediction_status.ok()) {
-          StagePrediction pred = stage.prediction;
-          solver->RefinePrediction(solver_env, plan, &fin, &pred);
-          predr = Result<StagePrediction>(std::move(pred));
-        } else {
-          predr = stage.prediction_status;
-        }
-      } else {
-        // Degradation rungs left the compiled configuration behind; fall
-        // back to live prediction for the new kind/budget.
-        predr = PredictStage(plan, kind, &fin, budget_factor);
-      }
-      if (predr.ok()) telemetry.predicted = *predr;
-
-      result = predr.ok() ? Status::Internal("unset") : predr.status();
-      bool cuboid_ok = true;
-      if (predr.ok() && options_.verify == VerifyLevel::kParanoid &&
-          (kind == OperatorKind::kCfo || kind == OperatorKind::kCpmm)) {
-        // Re-check the chosen cuboid against the same grid bounds, k-split
-        // restriction, and MemEst the optimizer selected under; a violation
-        // here means the search or the estimate drifted from execution.
-        std::vector<VerifierDiagnostic> cuboid_diags =
-            verifier.VerifyCuboid(plan, predr->cuboid);
-        if (!cuboid_diags.empty()) {
-          cuboid_ok = false;
-          result = Status::Internal("stage cuboid verification failed: " +
-                                    cuboid_diags.front().ToString());
-          out.report.verifier_diagnostics.insert(
-              out.report.verifier_diagnostics.end(), cuboid_diags.begin(),
-              cuboid_diags.end());
-        }
-      }
-      stats = StageStats{};
-      stats.label = label;
-      if (predr.ok() && cuboid_ok) {
-        if (oom_pending) {
-          // Synthetic memory pressure: the schedule kills this stage's
-          // first execution attempt before it runs.
-          oom_pending = false;
-          ++recovery.injected_oom;
-          if (options_.metrics != nullptr) {
-            options_.metrics
-                ->GetCounter(metric_names::kFaultInjected, {{"kind", "oom"}})
-                ->Increment();
-          }
-          result = Status::OutOfMemory(
-              "injected OutOfMemory on stage " +
-              std::to_string(stage_ordinal) + " (" + label + ")");
-          if (journal_ != nullptr) {
-            journal_->Emit(LogLevel::kWarning,
-                           event_names::kFaultInjectedOom,
-                           {{"stage", label},
-                            {"ordinal", std::to_string(stage_ordinal)}});
-          }
-        } else {
-          if (options_.metrics != nullptr) {
-            options_.metrics
-                ->GetCounter(metric_names::kSolverExecutions,
-                             {{"solver", std::string(solver->id())}})
-                ->Increment();
-          }
-          if (options_.analytic) {
-            result = RunPlanAnalytic(plan, kind, *predr, &stats);
-            telemetry.threads = 1;
-          } else {
-            StageContext ctx(label, options_.cluster);
-            ctx.set_tracer(options_.tracer);
-            ctx.set_metrics(options_.metrics);
-            ctx.set_journal(journal_);
-            if (injector != nullptr) {
-              ctx.ConfigureRecovery(injector, stage_ordinal,
-                                    options_.recovery.retry);
-            }
-            result = solver->Execute(solver_env, plan, *predr, fin, &ctx);
-            stats = ctx.Finalize();
-            stats.label = label;
-            telemetry.threads = ctx.Parallelism();
-            telemetry.pipeline = ctx.pipeline();
-            const StageRecovery items = ctx.recovery();
-            recovery.attempts += items.attempts;
-            recovery.retries += items.retries;
-            recovery.injected_failures += items.injected_failures;
-            recovery.exhausted_items += items.exhausted_items;
-            recovery.backoff_seconds += items.backoff_seconds;
-            if (journal_ != nullptr && items.retries > 0) {
-              // One stage-level event after the attempt completes — never
-              // per item, keeping emission off the work-item hot path.
-              journal_->Emit(
-                  LogLevel::kWarning, event_names::kTaskRetry,
-                  {{"stage", label},
-                   {"attempts", std::to_string(items.attempts)},
-                   {"injected_failures",
-                    std::to_string(items.injected_failures)},
-                   {"exhausted", std::to_string(items.exhausted_items)}});
-            }
-          }
-        }
-      }
-      if (result.ok() || !result.status().IsOutOfMemory() ||
-          !options_.recovery.degrade_on_oom ||
-          rungs >= options_.recovery.max_degradations_per_stage) {
-        break;
-      }
-      Result<DegradationStep> next = NextDegradation(
-          plan, kind, telemetry.predicted, &fin, budget_factor);
-      if (!next.ok()) break;  // ladder exhausted: surface the original OOM
-      ++rungs;
-      ++recovery.degradations;
-      DegradationEvent event;
-      event.stage_label = label;
-      event.from = std::string(OperatorKindName(kind)) +
-                   (telemetry.predicted.present
-                        ? " " + telemetry.predicted.cuboid.ToString()
-                        : "");
-      event.to = std::string(OperatorKindName(next->kind)) + " " +
-                 next->pred.cuboid.ToString();
-      event.cause = result.status().message();
-      if (options_.metrics != nullptr) {
-        options_.metrics
-            ->GetCounter(metric_names::kStageDegradations,
-                         {{"action", next->action}})
-            ->Increment();
-      }
-      if (journal_ != nullptr) {
-        journal_->Emit(LogLevel::kWarning, event_names::kStageDegraded,
-                       {{"stage", label},
-                        {"from", event.from},
-                        {"to", event.to},
-                        {"cause", event.cause}});
-      }
-      out.report.degradations.push_back(std::move(event));
-      kind = next->kind;
-      budget_factor = next->budget_factor;
-      // The ladder switched configurations: re-resolve the solver for the
-      // new kind (recorded as a fresh resolution, like compile time).
-      solver = SolverRegistry::Global().Resolve(solver_env, kind, plan);
-      FUSEME_CHECK(solver != nullptr);
-    }
-    telemetry.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_begin)
-            .count();
-
-    if (result.ok()) {
-      if (injector != nullptr &&
-          injector->spec().straggler_probability > 0.0) {
-        // Enumerate the schedule's stragglers among this stage's tasks
-        // (capped so paper-scale analytic task counts stay cheap; the
-        // scan is deterministic either way).
-        const std::int64_t scan =
-            std::min<std::int64_t>(stats.num_tasks, kStragglerScanCap);
-        for (std::int64_t t = 0; t < scan; ++t) {
-          const double factor = injector->StragglerFactor(stage_ordinal, t);
-          if (factor > 1.0) {
-            ++recovery.stragglers;
-            recovery.max_straggler_factor =
-                std::max(recovery.max_straggler_factor, factor);
-          }
-        }
-        if (options_.metrics != nullptr && recovery.stragglers > 0) {
-          options_.metrics
-              ->GetCounter(metric_names::kFaultInjected,
-                           {{"kind", "straggler"}})
-              ->Add(recovery.stragglers);
-        }
-      }
-      StageFaultEffects effects;
-      effects.retries = recovery.retries;
-      effects.backoff_seconds = recovery.backoff_seconds;
-      effects.stage_relaunches = recovery.degradations;
-      effects.stragglers = recovery.stragglers;
-      effects.straggler_factor = recovery.max_straggler_factor;
-      effects.speculation = options_.recovery.speculative_execution;
-      effects.speculation_launch_factor =
-          options_.recovery.speculation_launch_factor;
-      std::int64_t speculative = 0;
-      status = sim.CompleteStage(stats, recovery.any() ? &effects : nullptr,
-                                 &speculative);
-      recovery.speculative_tasks = speculative;
-      if (options_.metrics != nullptr && speculative > 0) {
-        options_.metrics->GetCounter(metric_names::kSpeculativeTasks)
-            ->Add(speculative);
-      }
-      if (journal_ != nullptr && speculative > 0) {
-        journal_->Emit(LogLevel::kInfo, event_names::kSpeculation,
-                       {{"stage", label},
-                        {"copies", std::to_string(speculative)}});
-      }
-      if (status.ok() && !sim.stages().empty()) {
-        stats.elapsed_seconds = sim.stages().back().elapsed_seconds;
-        if (journal_ != nullptr) {
-          // Stage-level commit event on the driver thread — the ordered
-          // per-task commit path inside the operators never emits.
-          journal_->Emit(
-              LogLevel::kInfo, event_names::kStageCommit,
-              {{"stage", label},
-               {"ordinal", std::to_string(stage_ordinal)},
-               {"operator", std::string(OperatorKindName(kind))},
-               {"tasks", std::to_string(stats.num_tasks)},
-               {"elapsed_seconds", std::to_string(stats.elapsed_seconds)}});
-        }
-      }
-    } else {
-      status = result.status();
-    }
-    telemetry.actual = stats;
-    telemetry.recovery = recovery;
-    out.report.attempts += recovery.attempts;
-    if (recovery.retries > 0) {
-      out.report.retries_by_cause["injected_failure"] += recovery.retries;
-    }
-    out.report.speculative_tasks += recovery.speculative_tasks;
-    RecordStageMetrics(options_.metrics, stats, telemetry.wall_seconds,
-                       telemetry.predicted);
-    if (options_.metrics != nullptr &&
-        (telemetry.pipeline.fetch_wait_seconds > 0.0 ||
-         telemetry.pipeline.compute_busy_seconds > 0.0)) {
-      // Overlap telemetry (DESIGN.md section 14): host wall-clock split of
-      // work-item time into transfer stalls and kernel compute, plus the
-      // per-stage overlap efficiency the prefetcher achieved.
-      options_.metrics->GetGauge(metric_names::kFetchWaitSeconds)
-          ->Add(telemetry.pipeline.fetch_wait_seconds);
-      options_.metrics->GetGauge(metric_names::kComputeBusySeconds)
-          ->Add(telemetry.pipeline.compute_busy_seconds);
-      options_.metrics->GetGauge(metric_names::kStageOverlapEfficiency)
-          ->Set(telemetry.pipeline.OverlapEfficiency());
-    }
-
-    if (options_.tracer != nullptr) {
-      TraceSpan span;
-      span.name = label;
-      span.category = "stage";
-      span.begin_us = span_begin;
-      span.end_us = options_.tracer->NowMicros();
-      span.tid = options_.tracer->CurrentThreadId();
-      span.args.emplace_back("operator", OperatorKindName(kind));
-      span.args.emplace_back("status", status.ok()
-                                           ? std::string("ok")
-                                           : result.ok()
-                                                 ? status.ToString()
-                                                 : result.status().ToString());
-      if (telemetry.predicted.present) {
-        span.args.emplace_back("cuboid", telemetry.predicted.cuboid.ToString());
-        span.args.emplace_back(
-            "predicted_net_bytes",
-            std::to_string(static_cast<std::int64_t>(
-                telemetry.predicted.net_bytes)));
-        span.args.emplace_back(
-            "predicted_flops",
-            std::to_string(
-                static_cast<std::int64_t>(telemetry.predicted.flops)));
-      }
-      span.args.emplace_back("actual_net_bytes",
-                             std::to_string(stats.consolidation_bytes));
-      span.args.emplace_back("actual_agg_bytes",
-                             std::to_string(stats.aggregation_bytes));
-      span.args.emplace_back("actual_flops", std::to_string(stats.flops));
-      span.args.emplace_back("num_tasks", std::to_string(stats.num_tasks));
-      if (recovery.any()) {
-        span.args.emplace_back("retries", std::to_string(recovery.retries));
-        span.args.emplace_back("degradations",
-                               std::to_string(recovery.degradations));
-        span.args.emplace_back("injected_oom",
-                               std::to_string(recovery.injected_oom));
-        span.args.emplace_back("stragglers",
-                               std::to_string(recovery.stragglers));
-        span.args.emplace_back("speculative_tasks",
-                               std::to_string(recovery.speculative_tasks));
-      }
-      options_.tracer->Record(std::move(span));
-    }
-
-    out.report.telemetry.push_back(std::move(telemetry));
-    if (!result.ok()) break;
-    materialized.emplace(plan.root(), std::move(*result));
-    if (!status.ok()) break;  // timed out
+    report.status = std::move(outcome.status);
+    report.telemetry.push_back(std::move(outcome.telemetry));
+    if (!report.status.ok()) break;
   }
-
-  out.report.status = status;
-  out.report.elapsed_seconds = sim.elapsed_seconds();
-  out.report.stages = sim.stages();
-  for (const StageStats& s : out.report.stages) {
-    out.report.consolidation_bytes += s.consolidation_bytes;
-    out.report.aggregation_bytes += s.aggregation_bytes;
-    out.report.flops += s.flops;
-    out.report.max_task_memory =
-        std::max(out.report.max_task_memory, s.max_task_memory);
-  }
-  if (status.ok()) {
+  if (report.status.ok()) {
     for (NodeId output : dag.outputs()) {
       auto it = materialized.find(output);
       if (it != materialized.end()) {
@@ -855,21 +510,336 @@ Engine::RunResult Engine::ExecuteCompiled(
       }
     }
   }
+  FinishRun(sim, &report);
+  return out;
+}
+
+Engine::StageOutcome Engine::RunStage(
+    const CompiledStage& stage, const PartialPlan& plan, int ordinal,
+    const PlanVerifier& verifier,
+    std::map<NodeId, DistributedMatrix>* materialized, Simulator* sim) const {
+  const FusedInputs fin = BindStageInputs(plan, options_.cluster, materialized);
+  StageOutcome out;
+  out.ordinal = ordinal;
+  out.span_begin_us =
+      options_.tracer != nullptr ? options_.tracer->NowMicros() : 0;
+  const auto host_begin = std::chrono::steady_clock::now();
+  const FaultInjector* injector =
+      injector_.has_value() ? &*injector_ : nullptr;
+  const SolverEnv solver_env = MakeSolverEnv();
+  const StageSolver* solver = SolverRegistry::Global().Find(stage.solver_id);
+  FUSEME_CHECK(solver != nullptr)
+      << "compiled stage references unknown solver " << stage.solver_id;
+
+  // The first attempt replays the compile-time base prediction and folds
+  // in only what the live-bound inputs change — no cuboid search
+  // (PredictBase + RefinePrediction == Predict).  Every later attempt runs
+  // the prediction its degradation rung chose.
+  Result<StagePrediction> pred =
+      stage.prediction_status.ok()
+          ? Result<StagePrediction>(stage.prediction)
+          : Result<StagePrediction>(stage.prediction_status);
+  if (pred.ok()) solver->RefinePrediction(solver_env, plan, &fin, &*pred);
+
+  // Degradation ladder (DESIGN.md section 13): a stage that fails with
+  // OutOfMemory — genuine or injected — retries under a degraded
+  // configuration when recovery allows, instead of failing the run.
+  StageRecovery& recovery = out.telemetry.recovery;
+  bool oom_pending = injector != nullptr && injector->InjectOom(ordinal);
+  OperatorKind kind = stage.kind;
+  double budget_factor = 1.0;
+  Result<DistributedMatrix> result = Status::Internal("unset");
+  StageStats stats;
+  for (;;) {
+    const std::string label =
+        plan.ToString() + " [" + std::string(OperatorKindName(kind)) + "]";
+    out.telemetry.label = label;
+    out.telemetry.predicted = pred.ok() ? *pred : StagePrediction{};
+    stats = StageStats{};
+    stats.label = label;
+    // kParanoid re-checks the chosen cuboid against the grid bounds,
+    // k-split restriction and MemEst the optimizer selected under; a
+    // violation means the search or the estimate drifted from execution.
+    std::vector<VerifierDiagnostic> cuboid_diags;
+    if (pred.ok() && options_.verify == VerifyLevel::kParanoid &&
+        (kind == OperatorKind::kCfo || kind == OperatorKind::kCpmm)) {
+      cuboid_diags = verifier.VerifyCuboid(plan, pred->cuboid);
+    }
+    if (!pred.ok()) {
+      result = pred.status();
+    } else if (!cuboid_diags.empty()) {
+      result = Status::Internal("stage cuboid verification failed: " +
+                                cuboid_diags.front().ToString());
+      out.diagnostics.insert(out.diagnostics.end(), cuboid_diags.begin(),
+                             cuboid_diags.end());
+    } else if (oom_pending) {
+      // Synthetic memory pressure: the schedule kills this stage's first
+      // execution attempt before it runs.
+      oom_pending = false;
+      ++recovery.injected_oom;
+      out.injected_oom_label = label;
+      result = Status::OutOfMemory("injected OutOfMemory on stage " +
+                                   std::to_string(ordinal) + " (" + label +
+                                   ")");
+    } else if (options_.analytic) {
+      out.solvers.push_back(solver->id());
+      result = RunPlanAnalytic(plan, kind, *pred, &stats);
+      out.telemetry.threads = 1;
+    } else {
+      out.solvers.push_back(solver->id());
+      StageContext ctx(label, options_.cluster);
+      ctx.set_tracer(options_.tracer);
+      ctx.set_metrics(options_.metrics);
+      ctx.set_journal(journal_);
+      if (injector != nullptr) {
+        ctx.ConfigureRecovery(injector, ordinal, options_.recovery.retry);
+      }
+      result = solver->Execute(solver_env, plan, *pred, fin, &ctx);
+      stats = ctx.Finalize();
+      stats.label = label;
+      out.telemetry.threads = ctx.Parallelism();
+      out.telemetry.pipeline = ctx.pipeline();
+      const StageRecovery items = ctx.recovery();
+      recovery.attempts += items.attempts;
+      recovery.retries += items.retries;
+      recovery.injected_failures += items.injected_failures;
+      recovery.exhausted_items += items.exhausted_items;
+      recovery.backoff_seconds += items.backoff_seconds;
+    }
+    if (result.ok() || !result.status().IsOutOfMemory() ||
+        !options_.recovery.degrade_on_oom ||
+        static_cast<int>(out.rungs.size()) >=
+            options_.recovery.max_degradations_per_stage) {
+      break;
+    }
+    Result<DegradationStep> next = NextDegradation(
+        plan, kind, out.telemetry.predicted, &fin, budget_factor);
+    if (!next.ok()) break;  // ladder exhausted: surface the original OOM
+    const std::string from =
+        std::string(OperatorKindName(kind)) +
+        (out.telemetry.predicted.present
+             ? " " + out.telemetry.predicted.cuboid.ToString()
+             : "");
+    const std::string to = std::string(OperatorKindName(next->kind)) + " " +
+                           next->pred.cuboid.ToString();
+    out.rungs.push_back(
+        {{label, from, to, result.status().message()}, next->action});
+    kind = next->kind;
+    budget_factor = next->budget_factor;
+    pred = std::move(next->pred);
+    // The ladder switched configurations: re-resolve the solver for the
+    // new kind (recorded as a fresh resolution, like compile time).
+    solver = SolverRegistry::Global().Resolve(solver_env, kind, plan);
+    FUSEME_CHECK(solver != nullptr);
+  }
+  out.telemetry.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    host_begin)
+          .count();
+  out.kind = kind;
+  recovery.degradations = static_cast<std::int64_t>(out.rungs.size());
+
+  if (result.ok()) {
+    if (injector != nullptr) {
+      ScanStragglers(*injector, ordinal, stats.num_tasks, &recovery);
+    }
+    out.status = sim->CompleteStage(
+        stats, &recovery, options_.recovery.speculative_execution,
+        options_.recovery.speculation_launch_factor);
+    if (out.status.ok()) {
+      stats.elapsed_seconds = sim->stages().back().elapsed_seconds;
+    }
+    materialized->emplace(plan.root(), *std::move(result));
+  } else {
+    out.status = result.status();
+  }
+  out.telemetry.actual = std::move(stats);
+  return out;
+}
+
+void Engine::RecordStage(const StageOutcome& outcome) const {
+  const StageTelemetry& t = outcome.telemetry;
+  const StageStats& stats = t.actual;
+  const StageRecovery& recovery = t.recovery;
+  const std::string_view kind = OperatorKindName(outcome.kind);
+
+  if (MetricsRegistry* metrics = options_.metrics; metrics != nullptr) {
+    metrics->GetCounter(metric_names::kStages)->Increment();
+    metrics->GetCounter(metric_names::kStageTasks)
+        ->Add(std::max<std::int64_t>(stats.num_tasks, 0));
+    metrics
+        ->GetCounter(metric_names::kStageShuffleBytes,
+                     {{"cause", "consolidation"}})
+        ->Add(std::max<std::int64_t>(stats.consolidation_bytes, 0));
+    metrics
+        ->GetCounter(metric_names::kStageShuffleBytes,
+                     {{"cause", "aggregation"}})
+        ->Add(std::max<std::int64_t>(stats.aggregation_bytes, 0));
+    metrics->GetCounter(metric_names::kStageFlops)
+        ->Add(std::max<std::int64_t>(stats.flops, 0));
+    metrics->GetHistogram(metric_names::kStageSeconds, DefaultTimeBoundaries())
+        ->Observe(t.wall_seconds);
+    metrics->GetGauge(metric_names::kTaskMemoryBytes)
+        ->Set(static_cast<double>(stats.max_task_memory));
+    // An actual per-task high-water above the MemEst the stage was
+    // admitted under is a memory overrun.
+    if (t.predicted.present &&
+        static_cast<double>(stats.max_task_memory) > t.predicted.mem_per_task) {
+      metrics->GetCounter(metric_names::kStageMemoryOverruns)->Increment();
+    }
+    if (t.pipeline.fetch_wait_seconds > 0.0 ||
+        t.pipeline.compute_busy_seconds > 0.0) {
+      // Overlap telemetry (DESIGN.md section 14): host wall-clock split of
+      // work-item time into transfer stalls and kernel compute, plus the
+      // per-stage overlap efficiency the prefetcher achieved.
+      metrics->GetGauge(metric_names::kFetchWaitSeconds)
+          ->Add(t.pipeline.fetch_wait_seconds);
+      metrics->GetGauge(metric_names::kComputeBusySeconds)
+          ->Add(t.pipeline.compute_busy_seconds);
+      metrics->GetGauge(metric_names::kStageOverlapEfficiency)
+          ->Set(t.pipeline.OverlapEfficiency());
+    }
+    if (recovery.injected_oom > 0) {
+      metrics->GetCounter(metric_names::kFaultInjected, {{"kind", "oom"}})
+          ->Add(recovery.injected_oom);
+    }
+    if (recovery.stragglers > 0) {
+      metrics->GetCounter(metric_names::kFaultInjected, {{"kind", "straggler"}})
+          ->Add(recovery.stragglers);
+    }
+    for (const auto& [event, action] : outcome.rungs) {
+      metrics->GetCounter(metric_names::kStageDegradations, {{"action", action}})
+          ->Increment();
+    }
+    if (recovery.speculative_tasks > 0) {
+      metrics->GetCounter(metric_names::kSpeculativeTasks)
+          ->Add(recovery.speculative_tasks);
+    }
+    for (const std::string_view solver : outcome.solvers) {
+      metrics
+          ->GetCounter(metric_names::kSolverExecutions,
+                       {{"solver", std::string(solver)}})
+          ->Increment();
+    }
+  }
+
+  // Stage-level events on the driver thread, after the stage finished —
+  // never per item, keeping emission off the work-item hot path.
+  if (journal_ != nullptr) {
+    const std::string ordinal = std::to_string(outcome.ordinal);
+    if (!outcome.injected_oom_label.empty()) {
+      journal_->Emit(LogLevel::kWarning, event_names::kFaultInjectedOom,
+                     {{"stage", outcome.injected_oom_label},
+                      {"ordinal", ordinal}});
+    }
+    for (const auto& [event, action] : outcome.rungs) {
+      journal_->Emit(LogLevel::kWarning, event_names::kStageDegraded,
+                     {{"stage", event.stage_label},
+                      {"from", event.from},
+                      {"to", event.to},
+                      {"cause", event.cause}});
+    }
+    if (recovery.retries > 0) {
+      journal_->Emit(
+          LogLevel::kWarning, event_names::kTaskRetry,
+          {{"stage", t.label},
+           {"attempts", std::to_string(recovery.attempts)},
+           {"injected_failures", std::to_string(recovery.injected_failures)},
+           {"exhausted", std::to_string(recovery.exhausted_items)}});
+    }
+    if (recovery.speculative_tasks > 0) {
+      journal_->Emit(
+          LogLevel::kInfo, event_names::kSpeculation,
+          {{"stage", t.label},
+           {"copies", std::to_string(recovery.speculative_tasks)}});
+    }
+    if (outcome.status.ok()) {
+      journal_->Emit(
+          LogLevel::kInfo, event_names::kStageCommit,
+          {{"stage", t.label},
+           {"ordinal", ordinal},
+           {"operator", std::string(kind)},
+           {"tasks", std::to_string(stats.num_tasks)},
+           {"elapsed_seconds", std::to_string(stats.elapsed_seconds)}});
+    }
+  }
+
+  if (options_.tracer != nullptr) {
+    TraceSpan span;
+    span.name = t.label;
+    span.category = "stage";
+    span.begin_us = outcome.span_begin_us;
+    span.end_us = options_.tracer->NowMicros();
+    span.tid = options_.tracer->CurrentThreadId();
+    span.args.emplace_back("operator", kind);
+    span.args.emplace_back(
+        "status", outcome.status.ok() ? "ok" : outcome.status.ToString());
+    if (t.predicted.present) {
+      span.args.emplace_back("cuboid", t.predicted.cuboid.ToString());
+      span.args.emplace_back(
+          "predicted_net_bytes",
+          std::to_string(static_cast<std::int64_t>(t.predicted.net_bytes)));
+      span.args.emplace_back(
+          "predicted_flops",
+          std::to_string(static_cast<std::int64_t>(t.predicted.flops)));
+    }
+    span.args.emplace_back("actual_net_bytes",
+                           std::to_string(stats.consolidation_bytes));
+    span.args.emplace_back("actual_agg_bytes",
+                           std::to_string(stats.aggregation_bytes));
+    span.args.emplace_back("actual_flops", std::to_string(stats.flops));
+    span.args.emplace_back("num_tasks", std::to_string(stats.num_tasks));
+    if (recovery.any()) {
+      span.args.emplace_back("retries", std::to_string(recovery.retries));
+      span.args.emplace_back("degradations",
+                             std::to_string(recovery.degradations));
+      span.args.emplace_back("injected_oom",
+                             std::to_string(recovery.injected_oom));
+      span.args.emplace_back("stragglers",
+                             std::to_string(recovery.stragglers));
+      span.args.emplace_back("speculative_tasks",
+                             std::to_string(recovery.speculative_tasks));
+    }
+    options_.tracer->Record(std::move(span));
+  }
+}
+
+void Engine::FinishRun(const Simulator& sim, ExecutionReport* report) const {
+  report->elapsed_seconds = sim.elapsed_seconds();
+  report->stages = sim.stages();
+  for (const StageStats& s : report->stages) {
+    report->consolidation_bytes += s.consolidation_bytes;
+    report->aggregation_bytes += s.aggregation_bytes;
+    report->flops += s.flops;
+    report->max_task_memory = std::max(report->max_task_memory,
+                                       s.max_task_memory);
+  }
+  for (const StageTelemetry& t : report->telemetry) {
+    report->attempts += t.recovery.attempts;
+    if (t.recovery.retries > 0) {
+      report->retries_by_cause["injected_failure"] += t.recovery.retries;
+    }
+    report->speculative_tasks += t.recovery.speculative_tasks;
+  }
+
+  const char* status = RunStatusLabel(report->status);
   if (options_.metrics != nullptr) {
-    options_.metrics
-        ->GetCounter(metric_names::kEngineRuns,
-                     {{"status", RunStatusLabel(out.report.status)}})
+    options_.metrics->GetCounter(metric_names::kEngineRuns,
+                                 {{"status", status}})
         ->Increment();
   }
   if (journal_ != nullptr) {
-    journal_->Emit(
-        out.report.status.ok() ? LogLevel::kInfo : LogLevel::kError,
-        event_names::kRunFinish,
-        {{"status", RunStatusLabel(out.report.status)},
-         {"elapsed_seconds", std::to_string(out.report.elapsed_seconds)},
-         {"stages", std::to_string(out.report.stages.size())}});
+    for (const VerifierDiagnostic& d : report->verifier_diagnostics) {
+      journal_->Emit(LogLevel::kError, event_names::kVerifierDiagnostic,
+                     {{"rule", d.rule}, {"detail", d.ToString()}});
+    }
+    journal_->Emit(report->status.ok() ? LogLevel::kInfo : LogLevel::kError,
+                   event_names::kRunFinish,
+                   {{"status", status},
+                    {"elapsed_seconds",
+                     std::to_string(report->elapsed_seconds)},
+                    {"stages", std::to_string(report->stages.size())}});
   }
-  return out;
 }
 
 namespace {

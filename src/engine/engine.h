@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <optional>
@@ -241,6 +242,8 @@ struct ExecutionReport {
 };
 
 class CompiledPlan;      // engine/compiled_plan.h
+struct CompiledStage;    // engine/compiled_plan.h
+class PlanVerifier;      // verify/plan_verifier.h
 struct PlanDescription;  // engine/solver_registry.h
 struct SolverEnv;        // engine/solver_registry.h
 
@@ -371,10 +374,41 @@ class Engine {
   void CompileStages(OperatorKind forced, CompiledPlan* compiled) const;
 
   /// The execute half: replays `plan` against `inputs`, which
-  /// CompiledPlan::CheckCompatible has already accepted.
+  /// CompiledPlan::CheckCompatible has already accepted.  Runs each stage
+  /// through RunStage, hands its outcome to RecordStage, and leaves through
+  /// FinishRun; besides the run_start event, those two are the only
+  /// writers of the tracer, metrics and journal sinks at run and stage
+  /// level.
   RunResult ExecuteCompiled(
       const CompiledPlan& plan,
       const std::map<NodeId, BlockedMatrix>& inputs) const;
+
+  /// Everything one stage's execution produced (engine.cc): what RunStage
+  /// returns and RecordStage fans out.
+  struct StageOutcome;
+
+  /// Binds `plan`'s inputs from `materialized`, runs the stage's attempts
+  /// up its OOM degradation ladder, completes it in `sim`, and adds its
+  /// output to `materialized` when an attempt succeeded.  Writes to no
+  /// telemetry sink; operators and solvers below it still emit their own
+  /// per-item and per-search events.
+  StageOutcome RunStage(const CompiledStage& stage, const PartialPlan& plan,
+                        int ordinal, const PlanVerifier& verifier,
+                        std::map<NodeId, DistributedMatrix>* materialized,
+                        Simulator* sim) const;
+
+  /// Fans one stage outcome out to the tracer (the stage span), the
+  /// metrics registry (stage, pipeline, fault, degradation, speculation
+  /// and solver-execution families) and the journal (injected_oom, one
+  /// degradation per rung, task_retry, speculation, commit — in that
+  /// order).
+  void RecordStage(const StageOutcome& outcome) const;
+
+  /// The single exit of ExecuteCompiled once run_start was emitted: fills
+  /// the report's aggregates from `sim` and report->telemetry, then
+  /// counts the run in fuseme_engine_runs_total and emits one verifier
+  /// diagnostic event per report diagnostic and the run_finish event.
+  void FinishRun(const Simulator& sim, ExecutionReport* report) const;
 
   /// Fills `stats` from the prediction's closed forms (plus the engine's
   /// narrow-dependency and output-write adjustments) and returns the
@@ -385,9 +419,9 @@ class Engine {
                                             StageStats* stats) const;
 
   /// One rung up the OOM degradation ladder from the failed attempt at
-  /// (`kind`, `failed`, `budget_factor`): the next operator/prediction to
-  /// try, or the error when the ladder is exhausted (callers then surface
-  /// the original OutOfMemory).
+  /// (`kind`, `failed`, `budget_factor`): the next operator and the
+  /// prediction its attempt runs as is, or the error when the ladder is
+  /// exhausted (callers then surface the original OutOfMemory).
   struct DegradationStep {
     OperatorKind kind;
     StagePrediction pred;

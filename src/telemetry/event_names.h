@@ -49,8 +49,9 @@ inline constexpr char kStageCommit[] = "fuseme.stage.commit";
 /// The fault schedule killed a stage attempt with a synthetic OOM;
 /// payload: stage, ordinal.
 inline constexpr char kFaultInjectedOom[] = "fuseme.fault.injected_oom";
-/// A work item was re-launched past its first attempt; payload: stage,
-/// attempts, injected_failures, exhausted.
+/// A stage re-launched work items past their first attempt; one event
+/// per stage, after it finished, carrying the stage's totals over all
+/// its attempts; payload: stage, attempts, injected_failures, exhausted.
 inline constexpr char kTaskRetry[] = "fuseme.fault.task_retry";
 /// A stage took one rung down the OOM degradation ladder; payload:
 /// stage, from, to, cause.

@@ -465,6 +465,46 @@ TEST(CompiledPlanTest, FailedVerificationRoundTripsThroughJson) {
   EXPECT_TRUE(replayed.report.stages.empty());
 }
 
+TEST(CompiledPlanTest, FailedRunsCountInRunsTotal) {
+  // Both early exits of Execute are failed runs and reach
+  // fuseme_engine_runs_total{status="error"}: plan verification failing at
+  // kPlanner, and an engine at kOff replaying the stage-less artifact.
+  NmfPattern q = BuildNmfPattern(40, 36, 24, /*x_nnz=*/288);
+  FusionPlanSet overlapping;
+  overlapping.plans.emplace_back(&q.dag, std::vector<NodeId>{q.vT}, q.vT);
+  overlapping.plans.emplace_back(
+      &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
+  EngineOptions options = Options();
+  options.analytic = true;
+  Engine verifying(options);
+  Result<CompiledPlan> compiled =
+      verifying.CompileWithPlans(q.dag, overlapping);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  ASSERT_TRUE(compiled->stages().empty());
+
+  for (const VerifyLevel level : {VerifyLevel::kPlanner, VerifyLevel::kOff}) {
+    SCOPED_TRACE(std::string(VerifyLevelName(level)));
+    MetricsRegistry metrics;
+    EngineOptions run_options = options;
+    run_options.verify = level;
+    run_options.metrics = &metrics;
+    Engine engine(run_options);
+    const Engine::RunResult run = engine.Execute(*compiled, {});
+    EXPECT_EQ(run.report.status.code(), StatusCode::kInternal);
+    EXPECT_NE(run.report.status.message().find(
+                  level == VerifyLevel::kOff ? "0 stage(s) for 2 plan(s)"
+                                             : "plan verification failed"),
+              std::string::npos)
+        << run.report.status;
+    const MetricsSnapshot snap = metrics.Snapshot();
+    EXPECT_EQ(snap.CounterTotal(metric_names::kEngineRuns), 1);
+    const MetricSample* errors =
+        snap.Find(metric_names::kEngineRuns, {{"status", "error"}});
+    ASSERT_NE(errors, nullptr);
+    EXPECT_EQ(errors->counter_value, 1);
+  }
+}
+
 TEST(CompiledPlanTest, ConcurrentExecuteMatchesSerialBitwise) {
   // Four threads replay one artifact on one engine (whose stages fan out
   // over the shared pool too); every replay must equal a serial Execute.

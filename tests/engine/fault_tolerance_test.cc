@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
+#include "telemetry/event_journal.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
@@ -42,6 +47,25 @@ struct GnmfFixture {
     inputs[q.X] = BlockedMatrix::FromSparse(x, kBs);
     inputs[q.V] = BlockedMatrix::FromDense(RandomDense(26, 6, 52), kBs);
     inputs[q.U] = BlockedMatrix::FromDense(RandomDense(6, 20, 53), kBs);
+  }
+};
+
+/// The NMF pattern query and inputs of the single forced-operator stage
+/// the ladder tests run: the whole query as one plan.
+struct NmfStageFixture {
+  NmfPattern q = BuildNmfPattern(26, 22, 10, /*x_nnz=*/57);
+  std::map<NodeId, BlockedMatrix> inputs;
+  FusionPlanSet full;
+
+  NmfStageFixture() {
+    SparseMatrix x = RandomSparse(26, 22, 0.1, /*seed=*/71, 1.0, 2.0);
+    inputs[q.X] = BlockedMatrix::FromSparse(x, kBs);
+    inputs[q.U] =
+        BlockedMatrix::FromDense(RandomDense(26, 10, 72, 0.5, 1.5), kBs);
+    inputs[q.V] =
+        BlockedMatrix::FromDense(RandomDense(22, 10, 73, 0.5, 1.5), kBs);
+    full.plans.emplace_back(
+        &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
   }
 };
 
@@ -274,15 +298,7 @@ TEST(FaultToleranceTest, OomDegradationCompletesPaperScaleBfo) {
 TEST(FaultToleranceTest, InjectedOomConsumedOnceAndDegraded) {
   // Force the whole query onto a broadcast operator so the targeted stage
   // always has a degradation rung (BFO -> CFO), then inject an OOM there.
-  NmfPattern q = BuildNmfPattern(26, 22, 10, /*x_nnz=*/57);
-  SparseMatrix x = RandomSparse(26, 22, 0.1, /*seed=*/71, 1.0, 2.0);
-  std::map<NodeId, BlockedMatrix> inputs;
-  inputs[q.X] = BlockedMatrix::FromSparse(x, kBs);
-  inputs[q.U] = BlockedMatrix::FromDense(RandomDense(26, 10, 72, 0.5, 1.5), kBs);
-  inputs[q.V] = BlockedMatrix::FromDense(RandomDense(22, 10, 73, 0.5, 1.5), kBs);
-  FusionPlanSet full;
-  full.plans.emplace_back(
-      &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
+  NmfStageFixture f;
 
   EngineOptions options = Options(SystemMode::kFuseMe);
   options.faults.seed = 5;
@@ -291,9 +307,9 @@ TEST(FaultToleranceTest, InjectedOomConsumedOnceAndDegraded) {
   // Without the ladder, the injected OOM is terminal — the paper's cell.
   Engine strict(options);
   Result<CompiledPlan> failed_compiled =
-      strict.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+      strict.CompileWithPlans(f.q.dag, f.full, OperatorKind::kBfo);
   ASSERT_TRUE(failed_compiled.ok()) << failed_compiled.status();
-  auto failed = strict.Execute(*failed_compiled, inputs);
+  auto failed = strict.Execute(*failed_compiled, f.inputs);
   ASSERT_TRUE(failed.status().IsOutOfMemory()) << failed.status();
   EXPECT_NE(failed.status().message().find("injected"), std::string::npos);
 
@@ -302,9 +318,9 @@ TEST(FaultToleranceTest, InjectedOomConsumedOnceAndDegraded) {
   options.recovery.degrade_on_oom = true;
   Engine degrading(options);
   Result<CompiledPlan> recovered_compiled =
-      degrading.CompileWithPlans(q.dag, full, OperatorKind::kBfo);
+      degrading.CompileWithPlans(f.q.dag, f.full, OperatorKind::kBfo);
   ASSERT_TRUE(recovered_compiled.ok()) << recovered_compiled.status();
-  auto recovered = degrading.Execute(*recovered_compiled, inputs);
+  auto recovered = degrading.Execute(*recovered_compiled, f.inputs);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ASSERT_FALSE(recovered.report.telemetry.empty());
   EXPECT_EQ(recovered.report.telemetry.front().recovery.injected_oom, 1);
@@ -313,6 +329,152 @@ TEST(FaultToleranceTest, InjectedOomConsumedOnceAndDegraded) {
             std::string::npos);
   EXPECT_NE(recovered.report.degradations.front().cause.find("injected"),
             std::string::npos);
+}
+
+TEST(FaultToleranceTest, DegradationRungSearchesOnce) {
+  // The BFO -> CFO rung runs the cuboid search that picks its cuboid once;
+  // the degraded attempt executes that prediction instead of searching
+  // again (fuseme_optimizer_searches_total is one per optimized operator).
+  NmfStageFixture f;
+  MetricsRegistry metrics;
+  EngineOptions options = Options(SystemMode::kFuseMe);
+  options.faults.seed = 5;
+  options.faults.oom_stages = {0};
+  options.recovery.degrade_on_oom = true;
+  options.metrics = &metrics;
+  Engine engine(options);
+  Result<CompiledPlan> compiled =
+      engine.CompileWithPlans(f.q.dag, f.full, OperatorKind::kBfo);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  Counter* searches = metrics.GetCounter(metric_names::kOptimizerSearches);
+  const std::int64_t before = searches->value();
+  auto run = engine.Execute(*compiled, f.inputs);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_EQ(run.report.degradations.size(), 1u);
+  EXPECT_EQ(searches->value() - before, 1);
+}
+
+std::string RenderPairs(
+    const std::vector<std::pair<std::string, std::string>>& pairs) {
+  std::string out;
+  for (const auto& [key, value] : pairs) {
+    out += " " + key + "=" + value;
+  }
+  return out;
+}
+
+bool HasPrefix(const std::string& s, std::initializer_list<const char*> ps) {
+  for (const char* p : ps) {
+    if (s.rfind(p, 0) == 0) return true;
+  }
+  return false;
+}
+
+TEST(FaultToleranceTest, StageTelemetryIsPinned) {
+  // One fault-scheduled real run through every stage-level recovery path:
+  // the forced-BFO stage's first attempt dies of an injected OOM, the
+  // ladder degrades it to CFO, that attempt retries killed work items,
+  // and the schedule's stragglers draw speculative copies.  Pins what the
+  // stage reaches each sink with: journal events (ids, severities and
+  // payloads; no seq/t_us), stage spans (names and args; no timestamps or
+  // tid) and the stage, fault, solver and engine counter families.
+  NmfStageFixture f;
+  Tracer tracer;
+  MetricsRegistry metrics;
+  EventJournal journal(1 << 12);
+  EngineOptions options = Options(SystemMode::kFuseMe);
+  options.cluster.task_launch_overhead = 0.0;  // speculation always wins
+  options.faults.seed = 6;
+  options.faults.oom_stages = {0};
+  options.faults.task_failure_probability = 0.5;
+  options.faults.straggler_probability = 0.5;
+  options.faults.straggler_slowdown = 100.0;
+  options.recovery.retry.max_attempts = 8;
+  options.recovery.degrade_on_oom = true;
+  options.tracer = &tracer;
+  options.metrics = &metrics;
+  options.journal = &journal;
+  Result<Engine> engine = Engine::Create(options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  Result<CompiledPlan> compiled =
+      engine->CompileWithPlans(f.q.dag, f.full, OperatorKind::kBfo);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto run = engine->Execute(*compiled, f.inputs);
+  ASSERT_TRUE(run.ok()) << run.status();
+
+  std::vector<std::string> events;
+  for (const JournalEvent& e : journal.Snapshot()) {
+    if (!HasPrefix(e.id, {"fuseme.engine.", "fuseme.stage.", "fuseme.fault.",
+                          "fuseme.verifier."})) {
+      continue;
+    }
+    events.push_back(std::string(LogLevelLabel(e.severity)) + " " + e.id +
+                     RenderPairs(e.payload));
+  }
+  std::vector<std::string> spans;
+  for (const TraceSpan& s : tracer.spans()) {
+    if (s.category == "stage") spans.push_back(s.name + RenderPairs(s.args));
+  }
+  std::vector<std::string> counters;
+  for (const MetricSample& m : metrics.Snapshot().samples) {
+    if (m.kind != MetricKind::kCounter ||
+        !HasPrefix(m.name, {"fuseme_stage", "fuseme_fault", "fuseme_task_",
+                            "fuseme_work_item_attempts",
+                            "fuseme_speculative", "fuseme_solver",
+                            "fuseme_engine"})) {
+      continue;
+    }
+    counters.push_back(m.name + RenderPairs(m.labels) + " " +
+                       std::to_string(m.counter_value));
+  }
+
+  const std::string stage = "{v3,v4,v6,v7,v8} root=v8";
+  const std::vector<std::string> expected_events = {
+      "info fuseme.engine.run_start system=FuseME mode=real plans=1",
+      "warning fuseme.fault.injected_oom stage=" + stage +
+          " [BFO] ordinal=0",
+      "warning fuseme.fault.degradation stage=" + stage +
+          " [BFO] from=BFO (1,1,1) to=CFO (3,1,2) cause=injected "
+          "OutOfMemory on stage 0 (" + stage + " [BFO])",
+      "warning fuseme.fault.task_retry stage=" + stage +
+          " [CFO] attempts=5 injected_failures=2 exhausted=0",
+      "info fuseme.fault.speculation stage=" + stage + " [CFO] copies=4",
+      "info fuseme.stage.commit stage=" + stage +
+          " [CFO] ordinal=0 operator=CFO tasks=6 elapsed_seconds=2.018600",
+      "info fuseme.engine.run_finish status=ok elapsed_seconds=2.018600 "
+      "stages=1",
+  };
+  const std::vector<std::string> expected_spans = {
+      stage + " [CFO] operator=CFO status=ok cuboid=(3,1,2) "
+              "predicted_net_bytes=9144 predicted_flops=1919 "
+              "actual_net_bytes=6012 actual_agg_bytes=1428 actual_flops=1541 "
+              "num_tasks=6 retries=2 degradations=1 injected_oom=1 "
+              "stragglers=4 speculative_tasks=4",
+  };
+  const std::vector<std::string> expected_counters = {
+      "fuseme_engine_runs_total status=ok 1",
+      "fuseme_fault_injected_total kind=lost_at_launch 1",
+      "fuseme_fault_injected_total kind=lost_before_commit 1",
+      "fuseme_fault_injected_total kind=oom 1",
+      "fuseme_fault_injected_total kind=straggler 4",
+      "fuseme_solver_executions_total solver=solver.cfo.spmm 1",
+      "fuseme_solver_rejections_total solver=solver.cfo.sddmm 1",
+      "fuseme_solver_resolutions_total solver=solver.bfo 1",
+      "fuseme_solver_resolutions_total solver=solver.cfo.spmm 1",
+      "fuseme_speculative_tasks_total 4",
+      "fuseme_stage_degradations_total action=shrink_cuboid 1",
+      "fuseme_stage_flops_total 1541",
+      "fuseme_stage_memory_overrun_total 1",
+      "fuseme_stage_shuffle_bytes_total cause=aggregation 1428",
+      "fuseme_stage_shuffle_bytes_total cause=consolidation 6012",
+      "fuseme_stage_tasks_total 6",
+      "fuseme_stages_total 1",
+      "fuseme_task_retries_total cause=injected_failure 2",
+      "fuseme_work_item_attempts_total 5",
+  };
+  EXPECT_EQ(events, expected_events);
+  EXPECT_EQ(spans, expected_spans);
+  EXPECT_EQ(counters, expected_counters);
 }
 
 TEST(FaultToleranceTest, StragglersExtendElapsedAndSpeculationCuts) {

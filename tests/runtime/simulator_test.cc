@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace fuseme {
 namespace {
 
@@ -150,6 +153,78 @@ TEST(SimulatorTest, OverlapFactorOutsideRangeIsClamped) {
   config.overlap_factor = -3.0;
   Simulator sim2(config);
   EXPECT_DOUBLE_EQ(sim2.EstimateStageSeconds(MakeStage(8, 4000, 8000)), 2.5);
+}
+
+TEST(SimulatorTest, RecoveryAddsBackoffAndRelaunches) {
+  ClusterConfig config = TestCluster();
+  config.task_launch_overhead = 0.1;
+  Simulator sim(config);
+  StageRecovery recovery;
+  recovery.retries = 2;
+  recovery.degradations = 1;
+  recovery.backoff_seconds = 0.5;
+  ASSERT_TRUE(sim.CompleteStage(MakeStage(8, 4000, 0), &recovery).ok());
+  // 2s network + 0.1 launch, then 0.5 backoff + 3 re-launches * 0.1.
+  EXPECT_NEAR(sim.stages().back().elapsed_seconds, 2.1 + 0.5 + 0.3, 1e-12);
+  EXPECT_EQ(recovery.speculative_tasks, 0);
+}
+
+TEST(SimulatorTest, SpeculationCutsTheStragglerTail) {
+  ClusterConfig config = TestCluster();
+  config.task_launch_overhead = 0.1;
+  // One 2s wave (+0.1 launch).  A 10x straggler rides out 9 more waves
+  // (18s); a copy launched 1.5 waves in costs 1.5 * 2s + 0.1 = 3.1s.
+  StageRecovery straggling;
+  straggling.stragglers = 3;
+  straggling.max_straggler_factor = 10.0;
+  straggling.speculative_tasks = 99;  // overwritten by CompleteStage
+
+  Simulator speculating(config);
+  StageRecovery speculated = straggling;
+  ASSERT_TRUE(speculating
+                  .CompleteStage(MakeStage(8, 4000, 0), &speculated,
+                                 /*speculation=*/true,
+                                 /*speculation_launch_factor=*/1.5)
+                  .ok());
+  EXPECT_NEAR(speculating.elapsed_seconds(), 2.1 + 3.1, 1e-12);
+  EXPECT_EQ(speculated.speculative_tasks, 3);
+
+  Simulator riding_out(config);
+  StageRecovery rode_out = straggling;
+  ASSERT_TRUE(riding_out
+                  .CompleteStage(MakeStage(8, 4000, 0), &rode_out,
+                                 /*speculation=*/false,
+                                 /*speculation_launch_factor=*/1.5)
+                  .ok());
+  EXPECT_NEAR(riding_out.elapsed_seconds(), 2.1 + 18.0, 1e-12);
+  EXPECT_EQ(rode_out.speculative_tasks, 0);
+
+  // A mild straggler finishes before its copy would: no copy launches.
+  Simulator mild(config);
+  StageRecovery slight = straggling;
+  slight.max_straggler_factor = 2.0;
+  ASSERT_TRUE(mild.CompleteStage(MakeStage(8, 4000, 0), &slight, true, 1.5)
+                  .ok());
+  EXPECT_NEAR(mild.elapsed_seconds(), 2.1 + 2.0, 1e-12);
+  EXPECT_EQ(slight.speculative_tasks, 0);
+}
+
+TEST(SimulatorTest, AllZeroRecoveryIsBitwiseFree) {
+  ClusterConfig config = TestCluster();
+  config.task_launch_overhead = 0.013;
+  config.shuffle_cpu_factor = 0.37;
+  const StageStats stage = MakeStage(21, 12345, 67891);
+  Simulator without(config);
+  ASSERT_TRUE(without.CompleteStage(stage).ok());
+  Simulator with(config);
+  StageRecovery recovery;
+  ASSERT_TRUE(with.CompleteStage(stage, &recovery).ok());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(with.elapsed_seconds()),
+            std::bit_cast<std::uint64_t>(without.elapsed_seconds()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(with.stages().back().elapsed_seconds),
+            std::bit_cast<std::uint64_t>(
+                without.stages().back().elapsed_seconds));
+  EXPECT_EQ(recovery.speculative_tasks, 0);
 }
 
 TEST(SimulatorTest, MoreNodesIsFasterForNetworkBoundStage) {
