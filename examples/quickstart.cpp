@@ -7,9 +7,9 @@
 //
 // The query is the paper's running example, O = X * log(U × Vᵀ + eps),
 // with a sparse X — the pattern where cuboid-based fusion shines.  With
-// --faults, a seeded schedule kills work items and stages OOM; the engine
-// retries and degrades, and the result must stay bitwise identical to the
-// clean run's.  --prefetch-depth=N sets how many output blocks ahead the
+// --faults, a seeded schedule kills work items and injects an OOM into the
+// first stage; the engine retries and walks the OOM degradation ladder,
+// and the result must stay bitwise identical to the clean run's.  --prefetch-depth=N sets how many output blocks ahead the
 // async shuffle stages input copies (0 disables prefetching entirely);
 // every depth must produce the same result and report.
 
@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
     faults.seed = 42;
     faults.task_failure_probability = 0.2;
     faults.straggler_probability = 0.1;
+    faults.oom_stages = {0};
     RecoveryOptions recovery;
     recovery.retry.max_attempts = 4;
     recovery.degrade_on_oom = true;
@@ -124,11 +125,21 @@ int main(int argc, char** argv) {
         static_cast<long long>(run.report.total_retries()),
         static_cast<long long>(run.report.speculative_tasks),
         run.report.degradations.size());
+    for (const DegradationEvent& rung : run.report.degradations) {
+      std::printf("  rung on %s: %s -> %s\n", rung.stage_label.c_str(),
+                  rung.from.c_str(), rung.to.c_str());
+    }
     // The smoke contract scripts/check.sh relies on: injected failures
-    // were absorbed (retries happened) and the numeric result survived
-    // them untouched.
+    // were absorbed (retries happened), stage 0's injected OOM was
+    // absorbed by the ladder, and the numeric result survived them
+    // untouched.
     if (run.report.total_retries() == 0) {
       std::printf("expected injected failures to cause retries\n");
+      return 1;
+    }
+    if (run.report.telemetry.empty() ||
+        run.report.telemetry.front().recovery.injected_oom != 1) {
+      std::printf("expected one injected OOM absorbed on stage 0\n");
       return 1;
     }
     if (diff > 1e-9) {

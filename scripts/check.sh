@@ -39,8 +39,9 @@ echo "== exporter smoke (metrics_report --serve, curl + validation) =="
 scripts/run_exporter_smoke.sh
 
 echo "== fault-injection smoke (quickstart --faults, fixed seed) =="
-# The example runs a seeded failure schedule (seed 42, p=0.2) and exits
-# non-zero unless retries were absorbed with a bitwise-clean result.
+# The example runs a seeded failure schedule (seed 42, p=0.2, one injected
+# OOM on stage 0) and exits non-zero unless retries and the OOM were
+# absorbed with a bitwise-clean result.
 build/examples/quickstart --faults > /dev/null || {
   echo "FAIL: fault-injection smoke" >&2
   exit 1

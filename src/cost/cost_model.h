@@ -68,20 +68,6 @@ class CostModel {
 
   const ClusterConfig& config() const { return config_; }
 
-  /// A model whose task memory budget is scaled by `factor` (clamped to
-  /// at least one byte).  The OOM degradation ladder searches under a
-  /// tightened model so the optimizer picks a finer cuboid — a larger
-  /// (P,Q,R) grid with a smaller per-task footprint — while the runtime
-  /// keeps enforcing the real configured budget.
-  CostModel WithBudgetFactor(double factor) const {
-    ClusterConfig scaled = config_;
-    scaled.task_memory_budget = std::max<std::int64_t>(
-        static_cast<std::int64_t>(
-            static_cast<double>(scaled.task_memory_budget) * factor),
-        1);
-    return CostModel(scaled);
-  }
-
   /// Grid dims of `plan`'s main matmul under the configured block size.
   GridDims Grid(const PartialPlan& plan) const;
 

@@ -419,7 +419,6 @@ Result<PartialPlan> RebuildPlan(const Dag& dag, const PlanRecord& rec,
 struct StageRecord {
   std::string kind;
   std::string solver;
-  bool refine_cell = false;
   bool has_prediction = false;
   StagePrediction prediction;
   bool has_error = false;
@@ -472,8 +471,6 @@ Result<StageRecord> ReadStageRecord(JsonReader& r) {
       FUSEME_ASSIGN_OR_RETURN(rec.kind, r.ReadString());
     } else if (key == "solver") {
       FUSEME_ASSIGN_OR_RETURN(rec.solver, r.ReadString());
-    } else if (key == "refine_cell") {
-      FUSEME_ASSIGN_OR_RETURN(rec.refine_cell, ReadBool(r));
     } else if (key == "prediction") {
       FUSEME_ASSIGN_OR_RETURN(rec.prediction, ReadPredictionJson(r));
       rec.has_prediction = true;
@@ -711,8 +708,6 @@ std::string CompiledPlan::ToJson() const {
     const CompiledStage& s = stages_[i];
     out += "{\"kind\":\"" + std::string(OperatorKindName(s.kind)) + "\"";
     out += ",\"solver\":\"" + JsonEscape(s.solver_id) + "\"";
-    out += std::string(",\"refine_cell\":") +
-           (s.refine_cell ? "true" : "false");
     if (s.prediction_status.ok()) {
       out += ",\"prediction\":";
       AppendPredictionJson(&out, s.prediction);
@@ -869,7 +864,6 @@ Result<CompiledPlan> CompiledPlan::FromJson(const std::string& json) {
     CompiledStage stage;
     FUSEME_ASSIGN_OR_RETURN(stage.kind, ParseStageKind(rec.kind));
     stage.solver_id = rec.solver;
-    stage.refine_cell = rec.refine_cell;
     const NodeId stage_root = out.plans_.plans[i].root();
     const StageSolver* solver = registry.Find(rec.solver);
     if (solver == nullptr || solver->kind() != stage.kind) {

@@ -38,10 +38,6 @@ struct CompiledStage {
   OperatorKind kind = OperatorKind::kCfo;
   /// Stable id of the resolved StageSolver (engine/solver_names.h).
   std::string solver_id;
-  /// True when Execute must re-apply RefineCellStagePrediction against
-  /// the live-bound inputs (CFO on a matmul-free plan); the base numbers
-  /// below are pre-refinement.
-  bool refine_cell = false;
   /// OK when `prediction` holds; otherwise the exact status the
   /// compile-time prediction failed with (e.g. OutOfMemory when no
   /// cuboid fit), replayed by Execute so failures reproduce too.

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "engine/compiled_plan.h"
+#include "engine/solver_names.h"
 #include "engine/solver_registry.h"
 #include "fusion/sparsity_analysis.h"
 #include "matrix/block.h"
@@ -306,61 +308,72 @@ OperatorKind Engine::PickOperator(
   return OperatorKind::kCfo;
 }
 
-Result<StagePrediction> Engine::PredictStage(const PartialPlan& plan,
-                                             OperatorKind kind,
-                                             const FusedInputs* inputs,
-                                             double budget_factor) const {
+Result<StagePrediction> Engine::PredictStage(
+    const PartialPlan& plan, OperatorKind kind,
+    const FusedInputs* inputs) const {
   // Resolve silently: NextDegradation probes the ladder through here and
   // repeated probes must not inflate the resolution metrics.
   const SolverEnv silent = MakeSolverEnv(/*silent=*/true);
   const StageSolver* solver =
       SolverRegistry::Global().Resolve(silent, kind, plan);
   if (solver == nullptr) return Status::Internal("unresolved operator kind");
-  return solver->Predict(MakeSolverEnv(), plan, inputs, budget_factor);
+  return solver->Predict(MakeSolverEnv(), plan, inputs);
 }
 
 Result<Engine::DegradationStep> Engine::NextDegradation(
     const PartialPlan& plan, OperatorKind kind, const StagePrediction& failed,
-    const FusedInputs* inputs, double budget_factor) const {
+    const FusedInputs* inputs) const {
   // cpmm is the ladder's last rung; there is nothing below it.
   if (kind == OperatorKind::kCpmm) {
     return Status::OutOfMemory(
         "degradation ladder exhausted (already at cpmm) for " +
         plan.ToString());
   }
-  // Broadcast/replication operators carry no cuboid to shrink: degrade to
-  // the optimizer-chosen CFO, which partitions what BFO/RFO broadcast or
-  // replicate wholesale.
   if (kind == OperatorKind::kBfo || kind == OperatorKind::kRfo) {
+    // Broadcast/replication operators carry no cuboid to shrink: degrade
+    // to the optimizer-chosen CFO, which partitions what BFO/RFO broadcast
+    // or replicate wholesale.
     Result<StagePrediction> pred =
-        PredictStage(plan, OperatorKind::kCfo, inputs, 1.0);
+        PredictStage(plan, OperatorKind::kCfo, inputs);
     if (pred.ok()) {
-      return DegradationStep{OperatorKind::kCfo, *std::move(pred), 1.0,
+      return DegradationStep{OperatorKind::kCfo, *std::move(pred),
                              "shrink_cuboid"};
     }
-  } else {
-    // CFO: re-optimize under a shrinking modeled budget until the search
-    // picks a different (finer) cuboid.
-    double factor = budget_factor;
-    while (factor > 1.0 / 1024.0) {
-      factor *= 0.5;
-      Result<StagePrediction> pred =
-          PredictStage(plan, OperatorKind::kCfo, inputs, factor);
-      if (!pred.ok()) break;  // nothing feasible under the tighter budget
-      if (!failed.present || !(pred->cuboid == failed.cuboid)) {
-        return DegradationStep{OperatorKind::kCfo, *std::move(pred), factor,
-                               "shrink_cuboid"};
-      }
+  } else if (failed.present) {
+    // CFO: the paper's cuboid rule once more, with θt lowered to just
+    // below the failed attempt's MemEst — the cheapest strictly smaller
+    // cuboid.  MemEst only shrinks as P, Q or R grow, so the finest
+    // cuboid bounds every candidate, cpmm's (1,1,R) included, from below:
+    // when it does not fit the cap, no search can succeed and no rung
+    // exists.
+    ClusterConfig capped = options_.cluster;
+    capped.task_memory_budget = static_cast<std::int64_t>(std::min(
+        static_cast<double>(capped.task_memory_budget),
+        std::ceil(failed.mem_per_task) - 1.0));
+    const CostModel capped_model(capped);
+    const GridDims g = capped_model.Grid(plan);
+    const Cuboid finest{g.I, g.J, CuboidSupportsKSplit(plan) ? g.K : 1};
+    if (capped_model.MemEst(finest, plan) >
+        static_cast<double>(capped.task_memory_budget)) {
+      return Status::OutOfMemory("degradation ladder exhausted for " +
+                                 plan.ToString());
     }
+    // The CFO refinements share the base solver's prediction.
+    const StageSolver* cfo = SolverRegistry::Global().Find(solver_names::kCfo);
+    SolverEnv env = MakeSolverEnv();
+    env.model = &capped_model;
+    FUSEME_ASSIGN_OR_RETURN(StagePrediction pred,
+                            cfo->Predict(env, plan, inputs));
+    return DegradationStep{OperatorKind::kCfo, std::move(pred),
+                           "shrink_cuboid"};
   }
-  // Final rung: the (1,1,R) shuffle matmul, feasible only for plans whose
-  // output merges coordinate-wise.
+  // Final rung: the (1,1,R) shuffle matmul at the configured budget,
+  // feasible only for plans whose output merges coordinate-wise.
   if (!plan.MatMuls().empty() && CuboidSupportsKSplit(plan)) {
     Result<StagePrediction> pred =
-        PredictStage(plan, OperatorKind::kCpmm, inputs, 1.0);
+        PredictStage(plan, OperatorKind::kCpmm, inputs);
     if (pred.ok()) {
-      return DegradationStep{OperatorKind::kCpmm, *std::move(pred), 1.0,
-                             "cpmm"};
+      return DegradationStep{OperatorKind::kCpmm, *std::move(pred), "cpmm"};
     }
   }
   return Status::OutOfMemory("degradation ladder exhausted for " +
@@ -547,10 +560,10 @@ Engine::StageOutcome Engine::RunStage(
   StageRecovery& recovery = out.telemetry.recovery;
   bool oom_pending = injector != nullptr && injector->InjectOom(ordinal);
   OperatorKind kind = stage.kind;
-  double budget_factor = 1.0;
   Result<DistributedMatrix> result = Status::Internal("unset");
   StageStats stats;
   for (;;) {
+    bool injected = false;  // this attempt died of the scheduled OOM
     const std::string label =
         plan.ToString() + " [" + std::string(OperatorKindName(kind)) + "]";
     out.telemetry.label = label;
@@ -576,6 +589,7 @@ Engine::StageOutcome Engine::RunStage(
       // Synthetic memory pressure: the schedule kills this stage's first
       // execution attempt before it runs.
       oom_pending = false;
+      injected = true;
       ++recovery.injected_oom;
       out.injected_oom_label = label;
       result = Status::OutOfMemory("injected OutOfMemory on stage " +
@@ -612,9 +626,15 @@ Engine::StageOutcome Engine::RunStage(
             options_.recovery.max_degradations_per_stage) {
       break;
     }
-    Result<DegradationStep> next = NextDegradation(
-        plan, kind, out.telemetry.predicted, &fin, budget_factor);
-    if (!next.ok()) break;  // ladder exhausted: surface the original OOM
+    Result<DegradationStep> next =
+        NextDegradation(plan, kind, out.telemetry.predicted, &fin);
+    if (!next.ok()) {
+      // The injection models a transient kill of the first attempt: with
+      // no rung to take, run the same configuration once more.  A genuine
+      // OOM would only repeat, so the ladder surfaces it unchanged.
+      if (injected) continue;
+      break;
+    }
     const std::string from =
         std::string(OperatorKindName(kind)) +
         (out.telemetry.predicted.present
@@ -625,7 +645,6 @@ Engine::StageOutcome Engine::RunStage(
     out.rungs.push_back(
         {{label, from, to, result.status().message()}, next->action});
     kind = next->kind;
-    budget_factor = next->budget_factor;
     pred = std::move(next->pred);
     // The ladder switched configurations: re-resolve the solver for the
     // new kind (recorded as a fresh resolution, like compile time).
@@ -905,9 +924,7 @@ void Engine::CompileStages(OperatorKind forced, CompiledPlan* compiled) const {
         SolverRegistry::Global().Resolve(env, stage.kind, plan);
     FUSEME_CHECK(solver != nullptr);
     stage.solver_id = std::string(solver->id());
-    stage.refine_cell =
-        stage.kind == OperatorKind::kCfo && plan.MatMuls().empty();
-    Result<StagePrediction> base = solver->PredictBase(env, plan, 1.0);
+    Result<StagePrediction> base = solver->PredictBase(env, plan);
     if (base.ok()) {
       stage.prediction = *std::move(base);
     } else {
@@ -1009,7 +1026,10 @@ PlanDescription Engine::Describe(const Dag& dag) const {
       c.solver_id = std::string(s->id());
       c.applicability = s->IsApplicable(env, plan);
       if (c.applicability.ok()) {
-        c.cost_seconds = s->Cost(env, plan);
+        const Result<StagePrediction> pred =
+            s->Predict(env, plan, /*inputs=*/nullptr);
+        c.cost_seconds = pred.ok() ? pred->cost_seconds
+                                   : std::numeric_limits<double>::infinity();
         c.feasible = std::isfinite(c.cost_seconds);
       }
       c.chosen = s == chosen;

@@ -84,10 +84,13 @@ struct RecoveryOptions {
   /// consulted when EngineOptions::faults schedules failures — genuine
   /// statuses are deterministic and never retried at item level.
   RetryPolicy retry;
-  /// Climb the OOM degradation ladder instead of failing the run: first
-  /// re-optimize the cuboid under a shrinking modeled budget (finer
-  /// partitions, less memory per task), then fall back to the (1,1,R)
-  /// cpmm shuffle operator.  Off by default so O.O.M. cells reproduce.
+  /// Climb the OOM degradation ladder instead of failing the run: BFO/RFO
+  /// fall back to the optimizer's cuboid; a CFO re-runs the cuboid search
+  /// once with the budget capped just below the failed attempt's MemEst
+  /// (a finer cuboid, less memory per task); a stage with no prediction
+  /// falls back to the (1,1,R) cpmm shuffle operator.  An injected OOM on
+  /// a stage with no rung re-runs the same configuration once.  Off by
+  /// default so O.O.M. cells reproduce.
   bool degrade_on_oom = false;
   /// Ladder length: rungs tried per stage before the original OutOfMemory
   /// is surfaced unchanged.
@@ -332,13 +335,10 @@ class Engine {
   /// refines the narrow-dependency model (a same-shaped input only skips
   /// the shuffle where its owner task coincides with the consuming task);
   /// without them, inputs are assumed grid-partitioned over the cluster.
-  /// `budget_factor` scales the modeled per-task budget the CFO cuboid
-  /// search runs under (the OOM degradation ladder passes < 1 to force
-  /// finer partitions); 1.0 is the configured budget.
-  Result<StagePrediction> PredictStage(const PartialPlan& plan,
-                                       OperatorKind kind,
-                                       const FusedInputs* inputs = nullptr,
-                                       double budget_factor = 1.0) const;
+  /// The CFO cuboid search runs under the configured per-task budget.
+  Result<StagePrediction> PredictStage(
+      const PartialPlan& plan, OperatorKind kind,
+      const FusedInputs* inputs = nullptr) const;
 
  private:
   struct ValidatedTag {};
@@ -419,20 +419,23 @@ class Engine {
                                             StageStats* stats) const;
 
   /// One rung up the OOM degradation ladder from the failed attempt at
-  /// (`kind`, `failed`, `budget_factor`): the next operator and the
-  /// prediction its attempt runs as is, or the error when the ladder is
-  /// exhausted (callers then surface the original OutOfMemory).
+  /// (`kind`, `failed`): the next operator and the prediction its attempt
+  /// runs as, or the error when the ladder is exhausted (callers then
+  /// surface the original OutOfMemory).  A rung costs at most one cuboid
+  /// search: BFO/RFO predict the CFO at the configured budget; a CFO with
+  /// a prediction searches once under a budget capped at
+  /// ceil(failed MemEst) − 1, so a rung strictly lowers MemEst; a CFO
+  /// without one, or a BFO/RFO whose CFO does not fit, falls to cpmm at
+  /// the configured budget.
   struct DegradationStep {
     OperatorKind kind;
     StagePrediction pred;
-    double budget_factor;
     std::string action;  // "shrink_cuboid" | "cpmm"
   };
   Result<DegradationStep> NextDegradation(const PartialPlan& plan,
                                           OperatorKind kind,
                                           const StagePrediction& failed,
-                                          const FusedInputs* inputs,
-                                          double budget_factor) const;
+                                          const FusedInputs* inputs) const;
 
   EngineOptions options_;
   CostModel model_;

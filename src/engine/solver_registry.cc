@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "common/logging.h"
@@ -40,27 +39,16 @@ void FillEstimates(const Cuboid& c, const CostModel::Estimates& est,
       Eq2Seconds(cluster, est.net_bytes + est.agg_bytes, est.flops);
 }
 
-/// (P,Q,R) search under the configured budget scaled by `budget_factor`
-/// (< 1 models a tighter budget, steering the search toward finer cuboids
-/// with smaller per-task footprints).
-PqrChoice OptimizeCuboid(const SolverEnv& env, const PartialPlan& plan,
-                         double budget_factor) {
+/// (P,Q,R) search under `env.model`'s per-task budget.
+PqrChoice OptimizeCuboid(const SolverEnv& env, const PartialPlan& plan) {
   // Plans whose O-space reshapes the matmul output cannot split the
   // common dimension (no coordinate-wise partial merge is possible).
   const std::int64_t max_r = CuboidSupportsKSplit(plan) ? 0 : 1;
-  auto search = [&](const CostModel* model) {
-    PqrOptimizer optimizer(model);
-    optimizer.set_metrics(env.metrics);
-    return env.pruned_search ? optimizer.Pruned(plan, max_r)
-                             : optimizer.Exhaustive(plan, max_r);
-  };
-  PqrChoice choice;
-  if (budget_factor == 1.0) {
-    choice = search(env.model);
-  } else {
-    const CostModel tight = env.model->WithBudgetFactor(budget_factor);
-    choice = search(&tight);
-  }
+  PqrOptimizer optimizer(env.model);
+  optimizer.set_metrics(env.metrics);
+  const PqrChoice choice = env.pruned_search
+                               ? optimizer.Pruned(plan, max_r)
+                               : optimizer.Exhaustive(plan, max_r);
   if (env.journal != nullptr) {
     if (choice.feasible) {
       env.journal->Emit(LogLevel::kInfo, event_names::kOptimizerChoice,
@@ -90,19 +78,14 @@ Status RequireMembers(std::string_view solver_id, const PartialPlan& plan) {
 // --- CFO family ------------------------------------------------------------
 
 Result<StagePrediction> CfoPredictBase(const SolverEnv& env,
-                                       const PartialPlan& plan,
-                                       double budget_factor) {
+                                       const PartialPlan& plan) {
   StagePrediction pred;
   pred.present = true;
   pred.operator_kind = "CFO";
-  const PqrChoice choice = OptimizeCuboid(env, plan, budget_factor);
+  const PqrChoice choice = OptimizeCuboid(env, plan);
   if (!choice.feasible) {
-    return Status::OutOfMemory(
-        "no feasible (P,Q,R) for plan " + plan.ToString() +
-        " within the per-task budget" +
-        (budget_factor == 1.0
-             ? ""
-             : " (degraded to " + std::to_string(budget_factor) + "x)"));
+    return Status::OutOfMemory("no feasible (P,Q,R) for plan " +
+                               plan.ToString() + " within the per-task budget");
   }
   CostModel::Estimates est;
   est.mem_per_task = choice.mem_per_task;
@@ -112,6 +95,70 @@ Result<StagePrediction> CfoPredictBase(const SolverEnv& env,
   FillEstimates(choice.c, est, env.cluster(), &pred);
   pred.cost_seconds = choice.cost;
   return pred;
+}
+
+/// The CFO cell-stage (matmul-free) narrow-dependency refinement: same-
+/// shaped grid-partitioned inputs only shuffle their misaligned remainder,
+/// and an aggregation root ships per-task partials.  `pred` must hold the
+/// base (unrefined) prediction; `inputs` may be null (inputs then assumed
+/// grid-partitioned over the whole cluster).  No-op for matmul-bearing
+/// plans.
+void RefineCellStagePrediction(const SolverEnv& env, const PartialPlan& plan,
+                               const FusedInputs* inputs,
+                               StagePrediction* pred) {
+  if (!plan.MatMuls().empty()) return;
+  const Dag& dag = plan.dag();
+  const ClusterConfig& cluster = env.cluster();
+  // Cell stage: same-shaped grid-partitioned inputs are narrow
+  // dependencies (no shuffle) where their owner task coincides with this
+  // stage's round-robin task; only the misaligned remainder and reshaping
+  // inputs (vectors, transposes) move, and an aggregation root ships its
+  // per-task partials.  The executor behaves this way, so the prediction
+  // must too.
+  //
+  // Both sides assign tile idx round-robin, so owner(idx) =
+  // idx % producer_tasks matches task(idx) = idx % num_tasks on min/lcm
+  // of the tiles (e.g. a single-partition BFO output feeding a 6-task
+  // cell stage aligns on 1/6 of them).
+  auto aligned_fraction = [](std::int64_t consumer, std::int64_t producer) {
+    if (consumer <= 0 || producer <= 0) return 0.0;
+    const std::int64_t g = std::gcd(consumer, producer);
+    const std::int64_t lcm = consumer / g * producer;
+    return static_cast<double>(std::min(consumer, producer)) /
+           static_cast<double>(lcm);
+  };
+  const Node& root = dag.node(plan.root());
+  const bool agg_root = root.kind == OpKind::kUnaryAgg;
+  const Node& grid_node = agg_root ? dag.node(root.inputs[0]) : root;
+  const double base_net = pred->net_bytes;
+  double net = 0;
+  for (NodeId ext : plan.ExternalInputs()) {
+    const Node& n = dag.node(ext);
+    if (!n.is_matrix()) continue;
+    const double bytes = static_cast<double>(SizeOf(dag, ext));
+    if (n.rows == grid_node.rows && n.cols == grid_node.cols) {
+      std::int64_t producer_tasks = cluster.total_tasks();
+      if (inputs != nullptr) {
+        auto it = inputs->find(ext);
+        if (it != inputs->end()) {
+          producer_tasks = it->second->scheme() == PartitionScheme::kGrid
+                               ? it->second->num_tasks()
+                               : 0;  // row/col layouts never align
+        }
+      }
+      net += bytes * (1.0 - aligned_fraction(pred->num_tasks, producer_tasks));
+      continue;
+    }
+    net += bytes;
+  }
+  pred->net_bytes = net;
+  if (agg_root) {
+    pred->agg_bytes =
+        std::min(base_net, static_cast<double>(pred->num_tasks) *
+                               static_cast<double>(SizeOf(dag, plan.root())));
+  }
+  pred->cost_seconds = Eq2Seconds(
+      cluster, pred->net_bytes + pred->agg_bytes, pred->flops);
 }
 
 class CfoSolver : public StageSolver {
@@ -125,10 +172,9 @@ class CfoSolver : public StageSolver {
     return RequireMembers(id(), plan);
   }
 
-  Result<StagePrediction> PredictBase(const SolverEnv& env,
-                                      const PartialPlan& plan,
-                                      double budget_factor) const override {
-    return CfoPredictBase(env, plan, budget_factor);
+  Result<StagePrediction> PredictBase(
+      const SolverEnv& env, const PartialPlan& plan) const override {
+    return CfoPredictBase(env, plan);
   }
 
   void RefinePrediction(const SolverEnv& env, const PartialPlan& plan,
@@ -240,10 +286,8 @@ class BfoSolver : public StageSolver {
     return Status::OK();
   }
 
-  Result<StagePrediction> PredictBase(const SolverEnv& env,
-                                      const PartialPlan& plan,
-                                      double budget_factor) const override {
-    (void)budget_factor;  // BFO has no cuboid to shrink.
+  Result<StagePrediction> PredictBase(
+      const SolverEnv& env, const PartialPlan& plan) const override {
     const Dag& dag = plan.dag();
     const ClusterConfig& cluster = env.cluster();
     StagePrediction pred;
@@ -309,10 +353,8 @@ class RfoSolver : public StageSolver {
     return Status::OK();
   }
 
-  Result<StagePrediction> PredictBase(const SolverEnv& env,
-                                      const PartialPlan& plan,
-                                      double budget_factor) const override {
-    (void)budget_factor;  // RFO's cuboid is fixed at (I,J,1).
+  Result<StagePrediction> PredictBase(
+      const SolverEnv& env, const PartialPlan& plan) const override {
     StagePrediction pred;
     pred.present = true;
     pred.operator_kind = "RFO";
@@ -363,10 +405,8 @@ class CpmmSolver : public StageSolver {
     return Status::OK();
   }
 
-  Result<StagePrediction> PredictBase(const SolverEnv& env,
-                                      const PartialPlan& plan,
-                                      double budget_factor) const override {
-    (void)budget_factor;  // The smallest feasible R is already minimal.
+  Result<StagePrediction> PredictBase(
+      const SolverEnv& env, const PartialPlan& plan) const override {
     StagePrediction pred;
     pred.present = true;
     pred.operator_kind = "cpmm";
@@ -396,19 +436,10 @@ class CpmmSolver : public StageSolver {
 
 Result<StagePrediction> StageSolver::Predict(const SolverEnv& env,
                                              const PartialPlan& plan,
-                                             const FusedInputs* inputs,
-                                             double budget_factor) const {
-  FUSEME_ASSIGN_OR_RETURN(StagePrediction pred,
-                          PredictBase(env, plan, budget_factor));
+                                             const FusedInputs* inputs) const {
+  FUSEME_ASSIGN_OR_RETURN(StagePrediction pred, PredictBase(env, plan));
   RefinePrediction(env, plan, inputs, &pred);
   return pred;
-}
-
-double StageSolver::Cost(const SolverEnv& env, const PartialPlan& plan) const {
-  const Result<StagePrediction> pred =
-      Predict(env, plan, /*inputs=*/nullptr, /*budget_factor=*/1.0);
-  return pred.ok() ? pred->cost_seconds
-                   : std::numeric_limits<double>::infinity();
 }
 
 SolverRegistry::SolverRegistry() {
@@ -475,64 +506,6 @@ const StageSolver* SolverRegistry::Resolve(const SolverEnv& env,
         ->Increment();
   }
   return chosen;
-}
-
-void RefineCellStagePrediction(const SolverEnv& env, const PartialPlan& plan,
-                               const FusedInputs* inputs,
-                               StagePrediction* pred) {
-  if (!plan.MatMuls().empty()) return;
-  const Dag& dag = plan.dag();
-  const ClusterConfig& cluster = env.cluster();
-  // Cell stage: same-shaped grid-partitioned inputs are narrow
-  // dependencies (no shuffle) where their owner task coincides with this
-  // stage's round-robin task; only the misaligned remainder and reshaping
-  // inputs (vectors, transposes) move, and an aggregation root ships its
-  // per-task partials.  The executor behaves this way, so the prediction
-  // must too.
-  //
-  // Both sides assign tile idx round-robin, so owner(idx) =
-  // idx % producer_tasks matches task(idx) = idx % num_tasks on min/lcm
-  // of the tiles (e.g. a single-partition BFO output feeding a 6-task
-  // cell stage aligns on 1/6 of them).
-  auto aligned_fraction = [](std::int64_t consumer, std::int64_t producer) {
-    if (consumer <= 0 || producer <= 0) return 0.0;
-    const std::int64_t g = std::gcd(consumer, producer);
-    const std::int64_t lcm = consumer / g * producer;
-    return static_cast<double>(std::min(consumer, producer)) /
-           static_cast<double>(lcm);
-  };
-  const Node& root = dag.node(plan.root());
-  const bool agg_root = root.kind == OpKind::kUnaryAgg;
-  const Node& grid_node = agg_root ? dag.node(root.inputs[0]) : root;
-  const double base_net = pred->net_bytes;
-  double net = 0;
-  for (NodeId ext : plan.ExternalInputs()) {
-    const Node& n = dag.node(ext);
-    if (!n.is_matrix()) continue;
-    const double bytes = static_cast<double>(SizeOf(dag, ext));
-    if (n.rows == grid_node.rows && n.cols == grid_node.cols) {
-      std::int64_t producer_tasks = cluster.total_tasks();
-      if (inputs != nullptr) {
-        auto it = inputs->find(ext);
-        if (it != inputs->end()) {
-          producer_tasks = it->second->scheme() == PartitionScheme::kGrid
-                               ? it->second->num_tasks()
-                               : 0;  // row/col layouts never align
-        }
-      }
-      net += bytes * (1.0 - aligned_fraction(pred->num_tasks, producer_tasks));
-      continue;
-    }
-    net += bytes;
-  }
-  pred->net_bytes = net;
-  if (agg_root) {
-    pred->agg_bytes =
-        std::min(base_net, static_cast<double>(pred->num_tasks) *
-                               static_cast<double>(SizeOf(dag, plan.root())));
-  }
-  pred->cost_seconds = Eq2Seconds(
-      cluster, pred->net_bytes + pred->agg_bytes, pred->flops);
 }
 
 InputSplit SplitPlanInputs(const PartialPlan& plan) {

@@ -14,7 +14,8 @@
 // CompiledPlan artifact plus the fuseme_solver_* metric families and the
 // fuseme.solver.chosen journal event; Engine::Execute replays the recorded
 // solver without re-searching.  The OOM degradation ladder re-resolves
-// dynamically when it switches operator kinds mid-stage.
+// dynamically when it switches operator kinds mid-stage, and predicts a
+// CFO rung through a SolverEnv whose model carries the lowered budget.
 
 #ifndef FUSEME_ENGINE_SOLVER_REGISTRY_H_
 #define FUSEME_ENGINE_SOLVER_REGISTRY_H_
@@ -64,15 +65,15 @@ class StageSolver {
   virtual Status IsApplicable(const SolverEnv& env,
                               const PartialPlan& plan) const = 0;
 
-  /// Cost-model prediction for the stage: PredictBase computes the
-  /// input-independent closed forms (this is what Engine::Compile records
-  /// in the artifact); RefinePrediction then folds in what the live-bound
-  /// inputs change (today: the CFO cell-stage narrow-dependency model).
-  /// Predict composes the two — the historical Engine::PredictStage
-  /// behavior.
-  virtual Result<StagePrediction> PredictBase(const SolverEnv& env,
-                                              const PartialPlan& plan,
-                                              double budget_factor) const = 0;
+  /// Cost-model prediction for the stage under `env.model` (its per-task
+  /// budget is the one the CFO cuboid search must fit): PredictBase
+  /// computes the input-independent closed forms (this is what
+  /// Engine::Compile records in the artifact); RefinePrediction then folds
+  /// in what the live-bound inputs change (today: the CFO cell-stage
+  /// narrow-dependency model).  Predict composes the two — what
+  /// Engine::PredictStage returns.
+  virtual Result<StagePrediction> PredictBase(
+      const SolverEnv& env, const PartialPlan& plan) const = 0;
   virtual void RefinePrediction(const SolverEnv& env, const PartialPlan& plan,
                                 const FusedInputs* inputs,
                                 StagePrediction* pred) const {
@@ -83,12 +84,7 @@ class StageSolver {
   }
   Result<StagePrediction> Predict(const SolverEnv& env,
                                   const PartialPlan& plan,
-                                  const FusedInputs* inputs,
-                                  double budget_factor) const;
-
-  /// Modeled stage seconds under the default budget, or +infinity when no
-  /// feasible configuration exists.  Default: Predict at budget 1.
-  virtual double Cost(const SolverEnv& env, const PartialPlan& plan) const;
+                                  const FusedInputs* inputs) const;
 
   /// Executes the stage on real block data.
   virtual Result<DistributedMatrix> Execute(const SolverEnv& env,
@@ -127,17 +123,6 @@ class SolverRegistry {
   std::vector<std::unique_ptr<StageSolver>> solvers_;
   std::vector<const StageSolver*> view_;
 };
-
-/// The CFO cell-stage (matmul-free) narrow-dependency refinement: same-
-/// shaped grid-partitioned inputs only shuffle their misaligned remainder,
-/// and an aggregation root ships per-task partials.  `pred` must hold the
-/// base (unrefined) prediction; `inputs` may be null (inputs then assumed
-/// grid-partitioned over the whole cluster).  Exposed so Engine::Execute
-/// can re-apply it to an artifact's recorded base prediction against the
-/// freshly bound inputs of each run.  No-op for matmul-bearing plans.
-void RefineCellStagePrediction(const SolverEnv& env, const PartialPlan& plan,
-                               const FusedInputs* inputs,
-                               StagePrediction* pred);
 
 /// Total serialized bytes of a plan's matrix-valued external inputs,
 /// split into the largest ("main", paper §2.2) one and the rest

@@ -258,6 +258,21 @@ TEST(CompiledPlanTest, JsonRoundTripExecutesIdentically) {
     EXPECT_EQ(restored->stages()[i].kind, compiled->stages()[i].kind);
   }
   ExpectIdenticalRuns(base, engine.Execute(*restored, f.inputs));
+
+  // Older artifacts carry a per-stage "refine_cell" flag; FromJson skips
+  // it, so they load and re-serialize to today's form.
+  std::string legacy = json;
+  for (std::size_t at = legacy.find("\"solver\":"); at != std::string::npos;
+       at = legacy.find("\"solver\":", at + 1)) {
+    at = legacy.find(',', at);
+    ASSERT_NE(at, std::string::npos);
+    legacy.insert(at, ",\"refine_cell\":true");
+  }
+  ASSERT_NE(legacy, json);
+  Result<CompiledPlan> from_legacy = CompiledPlan::FromJson(legacy);
+  ASSERT_TRUE(from_legacy.ok()) << from_legacy.status();
+  EXPECT_EQ(from_legacy->ToJson(), json);
+  ExpectIdenticalRuns(base, engine.Execute(*from_legacy, f.inputs));
 }
 
 TEST(CompiledPlanTest, CheckCompatibleRejectsShapeMismatch) {

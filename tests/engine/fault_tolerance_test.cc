@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -352,6 +353,105 @@ TEST(FaultToleranceTest, DegradationRungSearchesOnce) {
   ASSERT_TRUE(run.ok()) << run.status();
   ASSERT_EQ(run.report.degradations.size(), 1u);
   EXPECT_EQ(searches->value() - before, 1);
+}
+
+/// GNMF run with the schedule's OOM on stage `oom_stage` and the ladder on.
+EngineOptions GnmfOomOptions(int oom_stage, MetricsRegistry* metrics) {
+  EngineOptions options = Options(SystemMode::kFuseMe);
+  options.faults.seed = 5;
+  options.faults.oom_stages = {oom_stage};
+  options.recovery.degrade_on_oom = true;
+  options.metrics = metrics;
+  return options;
+}
+
+TEST(FaultToleranceTest, CfoRungSearchesOnceUnderFailedMemEst) {
+  // Stages 1 and 4 of GNMF are matmul CFO stages with room to split
+  // further: the rung re-runs the cuboid search once, capped just below
+  // the failed attempt's MemEst, so the degraded cuboid needs strictly
+  // less memory per task.
+  GnmfFixture f;
+  std::map<NodeId, DenseMatrix> dense;
+  for (const auto& [id, m] : f.inputs) dense.emplace(id, m.ToDense());
+  for (int oom_stage : {1, 4}) {
+    SCOPED_TRACE("oom_stage=" + std::to_string(oom_stage));
+    MetricsRegistry metrics;
+    Engine engine(GnmfOomOptions(oom_stage, &metrics));
+    Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    ASSERT_GT(compiled->stages().size(), static_cast<std::size_t>(oom_stage));
+    const CompiledStage& stage = compiled->stages()[oom_stage];
+    ASSERT_EQ(stage.kind, OperatorKind::kCfo);
+    ASSERT_TRUE(stage.prediction_status.ok());
+
+    Counter* searches = metrics.GetCounter(metric_names::kOptimizerSearches);
+    const std::int64_t before = searches->value();
+    auto run = engine.Execute(*compiled, f.inputs);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(searches->value() - before, 1);
+
+    ASSERT_EQ(run.report.degradations.size(), 1u);
+    EXPECT_EQ(run.report.degradations.front().to.rfind("CFO ", 0), 0u)
+        << run.report.degradations.front().to;
+    const StageTelemetry& t = run.report.telemetry.at(oom_stage);
+    EXPECT_EQ(t.recovery.injected_oom, 1);
+    EXPECT_EQ(t.recovery.degradations, 1);
+    ASSERT_TRUE(t.predicted.present);
+    EXPECT_LT(t.predicted.mem_per_task, stage.prediction.mem_per_task);
+
+    for (NodeId output : f.q.dag.outputs()) {
+      auto expected = ReferenceEval(f.q.dag, output, dense);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      EXPECT_LE(DenseMatrix::MaxAbsDiff(
+                    run.outputs.at(output).blocks().ToDense(), *expected),
+                1e-9);
+    }
+  }
+}
+
+TEST(FaultToleranceTest, InjectedOomWithoutRungRerunsStageOnce) {
+  // Stages 0 and 2 of GNMF (the transposes) and 3 (U × Uᵀ over a 1×1×3
+  // grid) already run at their grid's finest cuboid: no cuboid, cpmm's
+  // included, needs less memory, so the ladder has no rung and runs no
+  // search.  The injected OOM models a transient kill, so the stage runs
+  // once more as compiled and the outputs are a fault-free run's.
+  GnmfFixture f;
+  Engine clean_engine(Options(SystemMode::kFuseMe));
+  for (int oom_stage : {0, 2, 3}) {
+    SCOPED_TRACE("oom_stage=" + std::to_string(oom_stage));
+    MetricsRegistry metrics;
+    EngineOptions options = GnmfOomOptions(oom_stage, &metrics);
+    Engine engine(options);
+    Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    const auto clean = clean_engine.Execute(*compiled, f.inputs);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+
+    Counter* searches = metrics.GetCounter(metric_names::kOptimizerSearches);
+    const std::int64_t before = searches->value();
+    auto run = engine.Execute(*compiled, f.inputs);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(searches->value(), before);
+    EXPECT_TRUE(run.report.degradations.empty());
+    EXPECT_EQ(run.report.telemetry.at(oom_stage).recovery.injected_oom, 1);
+    ASSERT_EQ(run.outputs.size(), clean.outputs.size());
+    for (const auto& [id, matrix] : clean.outputs) {
+      const DenseMatrix a = matrix.blocks().ToDense();
+      const DenseMatrix b = run.outputs.at(id).blocks().ToDense();
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                0)
+          << "output v" << id;
+    }
+
+    // Without the ladder the injected OOM stays terminal.
+    options.recovery.degrade_on_oom = false;
+    options.metrics = nullptr;
+    Engine strict(options);
+    auto failed = strict.Execute(*compiled, f.inputs);
+    ASSERT_TRUE(failed.status().IsOutOfMemory()) << failed.status();
+    EXPECT_NE(failed.status().message().find("injected"), std::string::npos);
+  }
 }
 
 std::string RenderPairs(
